@@ -16,12 +16,14 @@
 #   tier1        — the full test suite (ROADMAP.md's tier-1 bar)
 #   proto        — at-serve wire-protocol unit tests (--quick and --stage)
 #   proto-props  — wire-protocol property tests: decoder totality,
-#                  bit-exact round trips, version gating
-#   codec        — the protocol-v3 spectrum codec: quantize/delta/varint
-#                  unit tests plus the codec property tests (decompressor
+#                  bit-exact round trips of every frame type, one protocol
+#                  version (any other header version is BadVersion),
+#                  retired type bytes decode as UnknownType
+#   codec        — the uplink spectrum codec: quantize/delta/varint unit
+#                  tests plus the codec property tests (decompressor
 #                  totality on arbitrary bytes, lossless bit-exactness,
-#                  quantization error bounds, compressed-frame version
-#                  gating)
+#                  quantization error bounds, compressed-frame round
+#                  trips in both modes)
 #   replay       — the capture-and-replay journal: reader property tests
 #                  (totality on arbitrary bytes, truncation at every
 #                  offset, bit-flip rejection), the record→replay
@@ -48,9 +50,10 @@
 #   lint         — clippy -D warnings on every workspace crate, including
 #                  at-dsp, at-linalg, and at-obs
 #   serve        — the networked location service: wire-protocol unit +
-#                  property tests (decoder totality, bit-exact round trips)
-#                  and the loopback server tests (parity, shedding,
-#                  deadlines, drain), then loadgen --smoke — a seconds-scale
+#                  property tests (decoder totality, bit-exact round trips),
+#                  the loopback server tests (keyed parity, shedding,
+#                  deadlines, drain, typed config refusals), and the
+#                  connection-churn fd test, then loadgen --smoke — a seconds-scale
 #                  sustained/overload/mixed/drain run that fails on
 #                  throughput collapse, inert admission control, broken
 #                  keyed parity, a resident gauge over the session cap,
@@ -67,13 +70,17 @@
 #                  budget (detect/spectrum/fusion, from the at-obs metrics
 #                  the instrumented pipeline records) must stay within 3x of
 #                  the committed BENCH_PERF.json baseline
+#   benchmark    — builds and unit-tests the benchmark of record
+#                  (benchmark/, its own workspace, so no other stage
+#                  compiles it): an at-serve or at-core API change that
+#                  breaks the benchmark fails here instead of going unseen
 set -euo pipefail
 cd "$(dirname "$0")"
 
 # The single source of truth for stage names: usage, the unknown-stage
 # error, and tests/ci_sh.rs all key off this list (run_stage's dispatch
 # must cover exactly these names).
-STAGES=(fmt build tier1 proto proto-props codec replay topology robustness serve serve-sessions lint bench-smoke)
+STAGES=(fmt build tier1 proto proto-props codec replay topology robustness serve serve-sessions lint bench-smoke benchmark)
 
 usage() {
     echo "usage: ./ci.sh [--quick] [--stage <name>]" >&2
@@ -150,6 +157,11 @@ serve_sessions() {
     cargo test -q -p at-serve --test store_interleave
 }
 
+benchmark_gate() {
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+}
+
 lint() {
     # Whole workspace except the vendored registry stand-ins (vendor/*),
     # which mirror upstream APIs verbatim and are not held to our lints.
@@ -173,6 +185,7 @@ run_stage() {
     serve-sessions) stage serve-sessions serve_sessions ;;
     lint) stage lint lint ;;
     bench-smoke) stage bench-smoke cargo run --release -q -p at-bench --bin perf_report -- --smoke ;;
+    benchmark) stage benchmark benchmark_gate ;;
     *)
         echo "ci.sh: unknown stage '$1'" >&2
         usage
@@ -191,7 +204,7 @@ elif [[ $QUICK -eq 1 ]]; then
     # tier-1 cannot see (the facade tests drive them through a healthy
     # path only), so their unit + property tests ride in the inner loop
     # too. Cheap: no server sockets, just encode/decode — including the
-    # keyed-frame and compressed-frame version-gating properties.
+    # single-version and retired-type-byte properties.
     run_stage proto
     run_stage proto-props
     run_stage codec
@@ -216,6 +229,7 @@ else
     run_stage serve-sessions
     run_stage lint
     run_stage bench-smoke
+    run_stage benchmark
 fi
 
 echo

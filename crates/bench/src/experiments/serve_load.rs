@@ -4,8 +4,13 @@
 //!
 //! Four phases:
 //!
-//! 1. **sustained** — concurrent clients with pre-filled six-AP sessions
-//!    issue localize requests back to back; reports responses/sec and the
+//! Every phase drives the keyed session store, the server's only session
+//! model: a load client owns one unused key, keeps that key's six AP
+//! spectra fresh over an ingestion connection ([`ApClient`]), and
+//! localizes it over an application connection ([`AppClient`]).
+//!
+//! 1. **sustained** — concurrent clients issue localize requests for
+//!    their keys back to back; reports responses/sec and the
 //!    client-observed p50/p95/p99 round-trip latency.
 //! 2. **overload** — a deliberately tiny server (one worker, depth-1
 //!    queues) under a 32-client storm with client retry disabled: offered
@@ -13,7 +18,7 @@
 //!    counter > 0) while the server keeps answering — proven by a
 //!    ping + localize after the storm.
 //! 3. **mixed** — the Figure 1 topology: six AP ingestion connections
-//!    stream keyed spectra over the protocol-v3 *quantized* uplink while
+//!    stream keyed spectra over the *quantized* uplink while
 //!    app connections localize by key, under a resident-spectra cap of
 //!    half the working set. A sampler asserts the
 //!    `at_serve_sessions_spectra_resident` gauge never exceeds the cap;
@@ -39,8 +44,8 @@ use at_core::health::HealthPolicy;
 use at_core::synthesis::SearchRegion;
 use at_core::{AoaSpectrum, ArrayTrackServer};
 use at_serve::{
-    spawn, AdaptivePolicy, ApClient, AppClient, BatchPolicy, Client, ClientConfig, ClientError,
-    Encoding, ServeConfig, ServiceConfig, SessionPolicy,
+    spawn, AdaptivePolicy, ApClient, AppClient, BatchPolicy, ClientConfig, ClientError, ClientKey,
+    Encoding, RemoteFix, ServeConfig, ServiceConfig, SessionPolicy,
 };
 use at_testbed::office;
 use std::io::Write as _;
@@ -98,19 +103,61 @@ fn lobe_spectrum(
     })
 }
 
-/// Connects and fills a session with all six AP spectra for `target`.
-fn primed_client(
-    addr: SocketAddr,
-    service: &ServiceConfig,
-    target: at_channel::geometry::Point,
-    cfg: ClientConfig,
-) -> Client {
-    let mut c = Client::connect(addr, cfg).expect("connect");
-    for ap in 0..service.poses.len() {
-        c.submit(ap as u32, 0, &lobe_spectrum(service, ap, target))
-            .expect("submit");
+/// One load client on the keyed path: an ingestion connection holding
+/// key `key`'s six AP spectra in the session store, and an application
+/// connection localizing that key.
+struct KeyedClient {
+    ap: ApClient,
+    app: AppClient,
+    key: ClientKey,
+    spectra: Vec<AoaSpectrum>,
+    submitted: Instant,
+}
+
+impl KeyedClient {
+    /// Connects both roles and submits all six AP spectra for `target`.
+    fn primed(
+        addr: SocketAddr,
+        service: &ServiceConfig,
+        key: ClientKey,
+        target: at_channel::geometry::Point,
+        cfg: ClientConfig,
+    ) -> Self {
+        let mut c = Self {
+            ap: ApClient::connect(addr, cfg).expect("ap connect"),
+            app: AppClient::connect(addr, cfg).expect("app connect"),
+            key,
+            spectra: (0..service.poses.len())
+                .map(|ap| lobe_spectrum(service, ap, target))
+                .collect(),
+            submitted: Instant::now(),
+        };
+        c.submit_all();
+        c
     }
-    c
+
+    fn submit_all(&mut self) {
+        for (ap, spectrum) in self.spectra.iter().enumerate() {
+            self.ap
+                .submit(self.key, ap as u32, 0, spectrum)
+                .expect("submit");
+        }
+        self.submitted = Instant::now();
+    }
+
+    /// Re-submits the key's spectra once a refresh interval has passed:
+    /// stored spectra age with the server's reaper tick and go stale
+    /// after `HealthPolicy::max_spectrum_age` intervals, like a real AP's.
+    fn refresh_if_due(&mut self) {
+        if self.submitted.elapsed() >= SessionPolicy::default().refresh_interval {
+            self.submit_all();
+        }
+    }
+
+    fn localize(&mut self) -> Result<RemoteFix, ClientError> {
+        self.refresh_if_due();
+        self.app.localize(self.key, None)
+    }
 }
 
 struct SustainedResult {
@@ -152,11 +199,14 @@ fn run_sustained(report: &Report, clients: usize, per_client: usize) -> Sustaine
                     4.0 + (ci as f64 * 5.3) % (office::WIDTH - 8.0),
                     3.0 + (ci as f64 * 2.9) % (office::DEPTH - 6.0),
                 );
-                let mut c = primed_client(addr, &service, target, ClientConfig::default());
+                let mut c =
+                    KeyedClient::primed(addr, &service, ci as u64, target, ClientConfig::default());
                 let mut latencies_ms = Vec::with_capacity(per_client);
                 for _ in 0..per_client {
+                    // Refresh outside the timed request.
+                    c.refresh_if_due();
                     let t = Instant::now();
-                    c.localize(None).expect("sustained fix");
+                    c.localize().expect("sustained fix");
                     latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
                 }
                 latencies_ms
@@ -228,9 +278,9 @@ fn run_overload(report: &Report, clients: usize, per_client: usize) -> OverloadR
                     max_attempts: 1,
                     ..ClientConfig::default()
                 };
-                let mut c = primed_client(addr, &service, target, cfg);
+                let mut c = KeyedClient::primed(addr, &service, ci as u64, target, cfg);
                 for _ in 0..per_client {
-                    match c.localize(None) {
+                    match c.localize() {
                         Ok(_) => fixes.fetch_add(1, Ordering::Relaxed),
                         Err(ClientError::Overloaded { .. }) => {
                             sheds.fetch_add(1, Ordering::Relaxed)
@@ -246,8 +296,14 @@ fn run_overload(report: &Report, clients: usize, per_client: usize) -> OverloadR
     }
 
     // Still fully responsive after the storm?
-    let mut c = primed_client(addr, &service, pt(10.0, 5.0), ClientConfig::default());
-    let responsive_after = c.ping(7).is_ok() && c.localize(None).is_ok();
+    let mut c = KeyedClient::primed(
+        addr,
+        &service,
+        clients as u64,
+        pt(10.0, 5.0),
+        ClientConfig::default(),
+    );
+    let responsive_after = c.app.ping(7).is_ok() && c.localize().is_ok();
     let stats = server.shutdown();
 
     let result = OverloadResult {
@@ -280,8 +336,8 @@ fn run_drain(report: &Report) -> bool {
     let server = spawn(service.clone(), cfg, "127.0.0.1:0").expect("spawn");
     let addr = server.addr();
     let in_flight = thread::spawn(move || {
-        let mut c = primed_client(addr, &service, pt(14.0, 9.0), ClientConfig::default());
-        c.localize(None)
+        let mut c = KeyedClient::primed(addr, &service, 0, pt(14.0, 9.0), ClientConfig::default());
+        c.localize()
     });
     thread::sleep(Duration::from_millis(80));
     let stats = server.shutdown();
@@ -305,11 +361,11 @@ struct MixedResult {
     evicted_cap: u64,
     parity_ok: bool,
     seconds: f64,
-    /// v3 compressed submissions admitted (pre-storm probes + storm).
+    /// Compressed submissions admitted (pre-storm probes + storm).
     compressed_frames: u64,
     /// Bytes those submissions actually put on the wire.
     uplink_wire_bytes: u64,
-    /// Bytes the same submissions would have cost as raw v2 frames.
+    /// Bytes the same submissions would have cost as raw frames.
     uplink_raw_equiv_bytes: u64,
     /// raw-equivalent / wire — the ≥8× acceptance number.
     compression_ratio: f64,
@@ -397,7 +453,7 @@ fn run_mixed(
     };
 
     // Lossless-delta replay of the same session must land the identical
-    // fix: the XOR-delta wire form (protocol v3) is bit-exact end to end.
+    // fix: the XOR-delta wire form is bit-exact end to end.
     let lossless_ok = {
         let mut ap_conn =
             ApClient::connect_with(addr, ClientConfig::default(), Encoding::LosslessDelta)
@@ -439,11 +495,6 @@ fn run_mixed(
             let dy = fix.position.y - raw_fix.position.y;
             displacements.push((dx * dx + dy * dy).sqrt());
         }
-        assert_eq!(
-            ap_conn.encoding(),
-            Encoding::Quantized,
-            "no fallback against our own server"
-        );
     }
     displacements.sort_by(|a, b| a.partial_cmp(b).expect("finite displacements"));
     let p50_displacement_m = displacements[keys / 2];
@@ -471,7 +522,7 @@ fn run_mixed(
         .map(|ap| {
             let spectra = Arc::clone(&spectra);
             thread::spawn(move || {
-                // The storm runs entirely over the v3 quantized uplink —
+                // The storm runs entirely over the quantized uplink —
                 // the compression numbers below are measured under the
                 // same write pressure the cap/gauge invariants are.
                 let mut conn =

@@ -32,7 +32,7 @@
 //!
 //! Everything here is total and typed: malformed bytes and invalid
 //! configurations come back as [`ConfigError`], never a panic, because
-//! these values arrive over the wire (protocol v5 `Reconfigure`) and from
+//! these values arrive over the wire (the `Reconfigure` frame) and from
 //! disk (journal epoch records).
 
 #![forbid(unsafe_code)]
@@ -127,12 +127,12 @@ impl SessionPolicy {
 /// differently).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CodecDefault {
-    /// Uncompressed `f64` bins (every server speaks it).
+    /// Uncompressed `f64` bins.
     #[default]
     Raw,
-    /// 16-bit log-domain quantization (protocol v3, ~10× smaller).
+    /// 16-bit log-domain quantization (~10× smaller).
     Quantized,
-    /// Bit-exact XOR-delta compression (protocol v3, ~1.5× smaller).
+    /// Bit-exact XOR-delta compression (~1.5× smaller).
     LosslessDelta,
 }
 
@@ -184,6 +184,9 @@ pub enum ConfigError {
     Health(&'static str),
     /// The session policy is inconsistent (reason attached).
     Session(&'static str),
+    /// The server runtime shape (threads, queues, batching) is
+    /// inconsistent (reason attached).
+    Serve(&'static str),
     /// The resident-spectra cap cannot hold one full session.
     CapBelowApCount {
         /// The configured cap.
@@ -226,6 +229,7 @@ impl fmt::Display for ConfigError {
             Self::BadRegion => write!(f, "search region is degenerate or non-finite"),
             Self::Health(why) => write!(f, "health policy: {why}"),
             Self::Session(why) => write!(f, "session policy: {why}"),
+            Self::Serve(why) => write!(f, "serve config: {why}"),
             Self::CapBelowApCount { cap, n_aps } => write!(
                 f,
                 "resident-spectra cap {cap} cannot hold one full {n_aps}-AP session"
@@ -583,7 +587,7 @@ fn check_ap_id(ap_id: u32, n_aps: usize) -> Result<usize, ConfigError> {
 }
 
 /// One topology transition: the unit an admin requests over the wire
-/// (protocol v5 `Reconfigure`) and the journal records as an epoch event.
+/// (the `Reconfigure` frame) and the journal records as an epoch event.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TopologyOp {
     /// A new AP joins at `pose`; it gets the next free id and starts
@@ -631,8 +635,8 @@ const OP_REMOVE: u8 = 2;
 const OP_MOVE: u8 = 3;
 
 impl TopologyOp {
-    /// Appends the op's canonical wire encoding (shared by protocol v5
-    /// frames and journal epoch records).
+    /// Appends the op's canonical wire encoding (shared by the
+    /// `Reconfigure` frame and journal epoch records).
     pub fn encode(&self, out: &mut Vec<u8>) {
         match *self {
             Self::Add { pose } => {

@@ -7,6 +7,13 @@
 //! Every stage can be toggled, which is how the evaluation's
 //! optimized-vs-unoptimized comparisons (Figs. 13/15) and the ablation
 //! bench are expressed.
+//!
+//! Fusion against a deployment-shared [`LocalizationEngine`] has three
+//! public entry points: [`fuse`] (one query on a caller-owned
+//! [`FusionScratch`] — what the networked server's workers and the replay
+//! engine call), and its two halves [`plan_fusion`] (policy filtering and
+//! quorum, no engine) and [`execute_fusion`] (the engine sweep over a
+//! plan), which the benchmark times separately.
 
 use crate::engine::{LocalizationEngine, LocalizeScratch};
 use crate::health::{ApStatus, HealthPolicy, HealthTracker, LocalizeError};
@@ -130,12 +137,11 @@ pub fn process_frame_group(
 /// One observation entering policy-gated fusion against a shared
 /// [`LocalizationEngine`].
 ///
-/// This is the engine-shared (and batchable) form of what
+/// This is the engine-shared form of what
 /// [`ArrayTrackServer::try_localize`] consumes internally: the networked
 /// location service keeps *one* engine per deployment and runs every
-/// query through [`plan_fusion`] / [`execute_fusion`], getting results
-/// bit-identical to an in-process server built from the same
-/// submissions.
+/// query through [`fuse`], getting results bit-identical to an in-process
+/// server built from the same submissions.
 #[derive(Clone, Copy, Debug)]
 pub struct FusedObservation<'a> {
     /// Index of the producing AP in the engine's pose table.
@@ -153,15 +159,16 @@ pub struct FusedObservation<'a> {
 /// indices into the planned observation slice plus their confidence
 /// weights.
 ///
-/// Reusable: [`plan_fusion_indexed`] clears and refills the same plan, so
-/// a serving thread plans query after query without reallocating.
+/// Reusable: [`fuse`] clears and refills the plan inside its
+/// [`FusionScratch`], so a serving thread plans query after query without
+/// reallocating.
 #[derive(Clone, Debug, Default)]
 pub struct FusionPlan {
     picked: Vec<(usize, f64)>,
 }
 
 impl FusionPlan {
-    /// An empty plan, ready for [`plan_fusion_indexed`] to fill.
+    /// An empty plan.
     pub fn new() -> Self {
         Self::default()
     }
@@ -195,8 +202,8 @@ thread_local! {
 }
 
 /// Runs `f` with the calling thread's default fusion workspace (the
-/// pool behind the non-`_scratch` entry points). Falls back to a fresh
-/// arena under re-entrancy rather than panicking.
+/// pool behind [`execute_fusion`] and [`ArrayTrackServer::try_localize`]).
+/// Falls back to a fresh arena under re-entrancy rather than panicking.
 fn with_fusion_scratch<R>(f: impl FnOnce(&mut FusionScratch) -> R) -> R {
     FUSION_SCRATCH.with(|s| match s.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
@@ -234,7 +241,7 @@ pub fn plan_fusion(
 /// The accessor-based, allocation-free core of [`plan_fusion`]:
 /// observations are supplied as `get(i)` for `i < n` and the survivors
 /// land in the caller's reusable `plan` (cleared first, even on error).
-pub fn plan_fusion_indexed<'a, F>(
+fn plan_fusion_indexed<'a, F>(
     n: usize,
     get: &F,
     expected_bins: usize,
@@ -361,21 +368,11 @@ where
 }
 
 /// [`plan_fusion`] + [`execute_fusion`] against a deployment-shared
-/// engine — one networked localize query, on the calling thread's pooled
-/// [`FusionScratch`].
-pub fn fuse_with_engine(
-    engine: &LocalizationEngine,
-    obs: &[FusedObservation<'_>],
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-) -> Result<LocationEstimate, LocalizeError> {
-    with_fusion_scratch(|scratch| fuse_with_scratch(engine, obs, health, policy, scratch))
-}
-
-/// [`fuse_with_engine`] with a caller-owned workspace: a serving worker
-/// that keeps one [`FusionScratch`] per exec thread localizes with zero
-/// heap allocations once the arena has warmed to the query shape.
-pub fn fuse_with_scratch(
+/// engine, on a caller-owned workspace: one networked localize query. A
+/// serving worker (or a replay loop) that keeps one [`FusionScratch`]
+/// localizes with zero heap allocations once the arena has warmed to the
+/// query shape.
+pub fn fuse(
     engine: &LocalizationEngine,
     obs: &[FusedObservation<'_>],
     health: &HealthTracker,
@@ -395,55 +392,6 @@ pub fn fuse_with_scratch(
         tempered,
         engine_scratch,
     ))
-}
-
-/// Batch-localize entry point: runs every query of `queries` through the
-/// shared `engine` under one health snapshot, fanning out across up to
-/// `threads` OS threads (the queries of a batch are independent).
-///
-/// This is what a serving layer's batch executor calls after coalescing
-/// concurrent localize requests: engine caches stay hot across the whole
-/// batch and per-query results are identical to calling
-/// [`fuse_with_engine`] one query at a time.
-pub fn fuse_batch(
-    engine: &LocalizationEngine,
-    queries: &[&[FusedObservation<'_>]],
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-    threads: usize,
-) -> Vec<Result<LocationEstimate, LocalizeError>> {
-    let mut out = Vec::with_capacity(queries.len());
-    fuse_batch_into(engine, queries, health, policy, threads, &mut out);
-    out
-}
-
-/// [`fuse_batch`] writing into a caller-reused results vector (cleared
-/// first): the fully allocation-free batch path for a serving worker that
-/// owns both its [`FusionScratch`] (via the thread pool) and its results
-/// buffer. Single-threaded batches reuse the calling thread's scratch
-/// across every query of the batch.
-pub fn fuse_batch_into(
-    engine: &LocalizationEngine,
-    queries: &[&[FusedObservation<'_>]],
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-    threads: usize,
-    out: &mut Vec<Result<LocationEstimate, LocalizeError>>,
-) {
-    out.clear();
-    if queries.len() <= 1 || threads <= 1 {
-        with_fusion_scratch(|scratch| {
-            out.extend(
-                queries
-                    .iter()
-                    .map(|q| fuse_with_scratch(engine, q, health, policy, scratch)),
-            );
-        });
-        return;
-    }
-    out.extend(crate::parallel::parallel_map(queries, threads, |_, q| {
-        fuse_with_engine(engine, q, health, policy)
-    }));
 }
 
 /// Submission metadata carried alongside each observation: which
@@ -1126,20 +1074,17 @@ mod tests {
             })
             .collect();
         let health = HealthTracker::new(all_poses.len());
-        let shared = fuse_with_engine(&engine, &fused, &health, &HealthPolicy::default())
-            .expect("healthy subset");
+        let shared = fuse(
+            &engine,
+            &fused,
+            &health,
+            &HealthPolicy::default(),
+            &mut FusionScratch::new(),
+        )
+        .expect("healthy subset");
         assert_eq!(in_process.position.x.to_bits(), shared.position.x.to_bits());
         assert_eq!(in_process.position.y.to_bits(), shared.position.y.to_bits());
         assert_eq!(in_process.likelihood.to_bits(), shared.likelihood.to_bits());
-
-        // And the batch entry point agrees with the one-at-a-time path.
-        let queries: Vec<&[FusedObservation]> = vec![&fused, &fused];
-        let batch = fuse_batch(&engine, &queries, &health, &HealthPolicy::default(), 2);
-        for r in batch {
-            let est = r.expect("healthy batch");
-            assert_eq!(est.position.x.to_bits(), shared.position.x.to_bits());
-            assert_eq!(est.position.y.to_bits(), shared.position.y.to_bits());
-        }
     }
 
     #[test]

@@ -30,11 +30,11 @@ pub const SERVE_SESSIONS_SUBMITS_TOTAL: &str = "at_serve_sessions_submits_total"
 
 /// Counter: bytes of spectrum-submission frames read off AP/client
 /// uplinks, labelled `encoding="raw"|"quantized"|"lossless"` — the
-/// quantity protocol v3's wire compression exists to shrink (loadgen's
+/// quantity the wire compression exists to shrink (loadgen's
 /// byte-budget smoke gate reads the same counter the operator would).
 pub const SERVE_UPLINK_BYTES_TOTAL: &str = "at_serve_uplink_bytes_total";
 
-/// Counter: compressed (v3 `SubmitCompressed*`) frames admitted,
+/// Counter: compressed (`SubmitCompressedKeyed`) frames admitted,
 /// labelled `mode="quantized"|"lossless"`.
 pub const SERVE_COMPRESSED_FRAMES_TOTAL: &str = "at_serve_compressed_frames_total";
 

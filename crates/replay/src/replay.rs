@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use at_config::{SystemConfig, TopologyOp};
-use at_core::health::{HealthTracker, LocalizeError};
-use at_core::{fuse_batch_into, FusedObservation, LocalizationEngine, LocationEstimate};
+use at_core::health::HealthTracker;
+use at_core::{fuse, FusedObservation, FusionScratch, LocalizationEngine, LocationEstimate};
 use at_obs::names;
 use at_serve::{
     ApClient, AppClient, ClientConfig, ClientError, Encoding, ServiceConfig, SessionPolicy,
@@ -226,7 +226,7 @@ pub fn replay_in_process(
         truncated_tail: journal.truncated_tail,
         ..ReplayReport::default()
     };
-    let mut results: Vec<Result<LocationEstimate, LocalizeError>> = Vec::with_capacity(1);
+    let mut scratch = FusionScratch::new();
     for record in &journal.records {
         report.records += 1;
         match &record.event {
@@ -284,24 +284,16 @@ pub fn replay_in_process(
                         age: o.age,
                     })
                     .collect();
-                fuse_batch_into(
-                    &engine,
-                    &[obs.as_slice()],
-                    &health,
-                    &system.health,
-                    1,
-                    &mut results,
-                );
+                let replayed = fuse(&engine, &obs, &health, &system.health, &mut scratch);
                 report.compared += 1;
-                match (recorded, results.first()) {
-                    (Outcome::Fix { x, y, likelihood }, Some(Ok(est)))
+                match (recorded, &replayed) {
+                    (Outcome::Fix { x, y, likelihood }, Ok(est))
                         if fix_matches(*x, *y, *likelihood, est) => {}
-                    (Outcome::Failed { error }, Some(Err(e))) if error == e => {}
+                    (Outcome::Failed { error }, Err(e)) if error == e => {}
                     (recorded, replayed) => {
                         let replayed = match replayed {
-                            Some(Ok(est)) => describe_fix(est),
-                            Some(Err(e)) => format!("failed ({e})"),
-                            None => "no result".into(),
+                            Ok(est) => describe_fix(est),
+                            Err(e) => format!("failed ({e})"),
                         };
                         report.diverge(
                             record.seq,

@@ -3,9 +3,9 @@
 //!
 //! The localization engine's per-query cost is dominated by the coarse
 //! grid sweep; queries against the *same* deployment share every
-//! precomputed table, so running `k` of them through
-//! [`at_core::fuse_batch`] costs far less than `k` independent walks
-//! through the full server. The batcher therefore holds the first request
+//! precomputed table, so a worker runs a batch's `k` queries back to back
+//! through [`at_core::fuse`] with its caches hot, one health snapshot, and
+//! one topology read. The batcher therefore holds the first request
 //! of a batch for at most [`BatchPolicy::window`], absorbing whatever else
 //! arrives in that window (up to [`BatchPolicy::max_batch`]), and hands
 //! the group downstream as one unit. Under light load the window is the
@@ -13,6 +13,7 @@
 //! window never expires.
 
 use crate::queue::Bounded;
+use at_config::ConfigError;
 use at_obs::metrics::{Gauge, Histogram, HistogramSnapshot};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,12 +44,12 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Validates the policy.
-    ///
-    /// # Panics
-    /// Panics if `max_batch` is zero.
-    pub fn validate(&self) {
-        assert!(self.max_batch >= 1, "a batch holds at least one request");
+    /// Validates the policy: a batch holds at least one request.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.max_batch == 0 {
+            return Err(ConfigError::Serve("a batch holds at least one request"));
+        }
+        Ok(())
     }
 }
 
@@ -75,16 +76,18 @@ impl Default for AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// Validates the policy.
-    ///
-    /// # Panics
-    /// Panics on a zero period or an inverted window range.
-    pub fn validate(&self) {
-        assert!(self.period >= 1, "adaptive period must be at least 1 batch");
-        assert!(
-            self.min_window <= self.max_window,
-            "adaptive window range is inverted"
-        );
+    /// Validates the policy: a non-zero period and a non-inverted window
+    /// range.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.period == 0 {
+            return Err(ConfigError::Serve(
+                "adaptive period must be at least 1 batch",
+            ));
+        }
+        if self.min_window > self.max_window {
+            return Err(ConfigError::Serve("adaptive window range is inverted"));
+        }
+        Ok(())
     }
 }
 
@@ -116,12 +119,10 @@ pub struct BatchController {
 
 impl BatchController {
     /// A controller starting from `policy`; a `None` adaptive policy
-    /// pins the window (the controller becomes a pass-through).
+    /// pins the window (the controller becomes a pass-through). Both
+    /// policies must pass their `validate`, as
+    /// [`crate::ServeConfig::validate`] checks before a server spawns.
     pub fn new(policy: BatchPolicy, adaptive: Option<AdaptivePolicy>) -> Self {
-        policy.validate();
-        if let Some(a) = &adaptive {
-            a.validate();
-        }
         let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
         let gauge = at_obs::metrics::global().gauge(BATCH_WINDOW_GAUGE, &[]);
         gauge.set(policy.window.as_secs_f64());

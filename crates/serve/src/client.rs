@@ -6,18 +6,21 @@
 //! (`at-testbed::acquire`): a bounded number of attempts (default 3, the
 //! same budget `AcquireConfig` gives spectrum acquisition) with a fixed
 //! backoff, applied to connecting and — because the server sheds load by
-//! design — to [`Client::localize`] calls answered with `Overloaded`,
+//! design — to [`AppClient::localize`] calls answered with `Overloaded`,
 //! honoring the server's retry hint.
 //!
 //! Three client types share that machinery:
-//! - [`Client`] — the legacy single-session peer: its own spectra, its own
-//!   fixes, one connection (protocol v1).
+//! - [`Client`] — the role-neutral connection: liveness, metrics,
+//!   topology queries and administration, and failure reports.
 //! - [`ApClient`] — the ingestion role: a long-lived AP-process connection
-//!   streaming keyed spectra into the server's session store (v2), under
-//!   a configurable wire [`Encoding`] (raw / quantized / lossless-delta,
-//!   v3) with automatic fallback to raw against pre-v3 servers.
+//!   streaming keyed spectra into the server's session store, under a
+//!   configurable wire [`Encoding`] (raw / quantized / lossless-delta).
 //! - [`AppClient`] — the query role: an application connection localizing
-//!   a key's store-resident spectra (v2).
+//!   a key's store-resident spectra.
+//!
+//! Sessions are keyed: a caller that wants a private session picks an
+//! unused [`ClientKey`], submits through an [`ApClient`], and localizes
+//! through an [`AppClient`].
 
 use crate::codec::Encoding;
 use crate::proto::{self, ApHealthReport, ClientKey, Frame, ReadError};
@@ -26,7 +29,7 @@ use at_core::health::LocalizeError;
 use at_core::synthesis::LocationEstimate;
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::Duration;
 
@@ -39,6 +42,8 @@ pub struct ClientConfig {
     pub io_timeout: Option<Duration>,
     /// Total attempts for connect and for overloaded localize calls —
     /// the same budget as the testbed's `AcquireConfig::max_attempts`.
+    /// Must be at least 1; [`Client::connect`] refuses 0 with
+    /// `InvalidInput`.
     pub max_attempts: u32,
     /// Backoff between attempts (the server's `retry_after_ms` hint is
     /// used instead when it is longer).
@@ -113,7 +118,7 @@ impl From<ReadError> for ClientError {
     }
 }
 
-/// The server's topology as received over the wire (protocol v5): the
+/// The server's topology as received over the wire: the
 /// current epoch number, the canonical `at-config` fingerprint of its
 /// system config, and the live AP poses in deployment-id order.
 #[derive(Clone, Debug, PartialEq)]
@@ -133,7 +138,7 @@ pub struct RemoteFix {
     pub position: Point,
     /// Likelihood at the estimate (comparable within one query only).
     pub likelihood: f64,
-    /// Health of every AP the session cited, as the fusion saw it.
+    /// Health of every AP the key's session cited, as the fusion saw it.
     pub health: Vec<ApHealthReport>,
 }
 
@@ -148,26 +153,24 @@ impl RemoteFix {
     }
 }
 
-/// A blocking connection to a location server.
+/// A blocking, role-neutral connection to a location server.
 pub struct Client {
     stream: TcpStream,
     cfg: ClientConfig,
-    /// Resolved peer addresses, kept for in-place reconnects (the
-    /// compressed-uplink raw fallback re-dials after an old server hangs
-    /// up on a frame it does not speak).
-    addrs: Vec<SocketAddr>,
 }
 
 impl Client {
     /// Connects to `addr`, retrying up to `cfg.max_attempts` times with
-    /// `cfg.backoff` between attempts.
+    /// `cfg.backoff` between attempts. A `max_attempts` of 0 is refused
+    /// with an `InvalidInput` I/O error.
     pub fn connect(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Self, ClientError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        Self::connect_resolved(addrs, cfg)
-    }
-
-    fn connect_resolved(addrs: Vec<SocketAddr>, cfg: ClientConfig) -> Result<Self, ClientError> {
-        assert!(cfg.max_attempts >= 1, "need at least one attempt");
+        if cfg.max_attempts == 0 {
+            return Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "max_attempts must be at least 1",
+            )));
+        }
+        let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
         if addrs.is_empty() {
             return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::AddrNotAvailable,
@@ -185,21 +188,13 @@ impl Client {
                         stream.set_nodelay(true)?;
                         stream.set_read_timeout(cfg.io_timeout)?;
                         stream.set_write_timeout(cfg.io_timeout)?;
-                        return Ok(Self { stream, cfg, addrs });
+                        return Ok(Self { stream, cfg });
                     }
                     Err(e) => last_err = Some(e),
                 }
             }
         }
         Err(ClientError::Io(last_err.expect("at least one attempt ran")))
-    }
-
-    /// Drops the current connection and dials the same peer again with
-    /// the same retry policy.
-    fn reconnect(&mut self) -> Result<(), ClientError> {
-        let fresh = Self::connect_resolved(self.addrs.clone(), self.cfg)?;
-        *self = fresh;
-        Ok(())
     }
 
     /// One request-response exchange.
@@ -226,62 +221,10 @@ impl Client {
         }
     }
 
-    /// Submits a spectrum from deployment AP `ap_id`, `age` refresh
-    /// intervals old, into this connection's session. Returns the
-    /// session's observation count.
-    pub fn submit(
-        &mut self,
-        ap_id: u32,
-        age: u64,
-        spectrum: &at_core::AoaSpectrum,
-    ) -> Result<u32, ClientError> {
-        let reply = self.request(&Frame::SubmitSpectrum {
-            ap_id,
-            age,
-            spectrum: spectrum.clone(),
-        })?;
-        match Self::common(reply)? {
-            Frame::SubmitAck { observations } => Ok(observations),
-            _ => Err(ClientError::Unexpected("wanted SubmitAck")),
-        }
-    }
-
-    /// Submits a spectrum compressed with `mode` into this connection's
-    /// session (protocol v3). No fallback machinery — the policy-driven
-    /// path with automatic raw fallback is [`ApClient::submit`].
-    pub fn submit_compressed(
-        &mut self,
-        ap_id: u32,
-        age: u64,
-        mode: crate::codec::CompressedMode,
-        spectrum: &at_core::AoaSpectrum,
-    ) -> Result<u32, ClientError> {
-        let reply = self.request(&Frame::SubmitCompressed {
-            ap_id,
-            age,
-            mode,
-            spectrum: spectrum.clone(),
-        })?;
-        match Self::common(reply)? {
-            Frame::SubmitAck { observations } => Ok(observations),
-            _ => Err(ClientError::Unexpected("wanted SubmitAck")),
-        }
-    }
-
     /// Reports a failed spectrum acquisition from AP `ap_id` (drives the
     /// server-side health tracker).
     pub fn report_failure(&mut self, ap_id: u32) -> Result<(), ClientError> {
         let reply = self.request(&Frame::ReportFailure { ap_id })?;
-        match Self::common(reply)? {
-            Frame::SubmitAck { .. } => Ok(()),
-            _ => Err(ClientError::Unexpected("wanted SubmitAck")),
-        }
-    }
-
-    /// Drops this connection's accumulated spectra (server-side health
-    /// state survives, as with the in-process server's `clear`).
-    pub fn clear(&mut self) -> Result<(), ClientError> {
-        let reply = self.request(&Frame::ClearSession)?;
         match Self::common(reply)? {
             Frame::SubmitAck { .. } => Ok(()),
             _ => Err(ClientError::Unexpected("wanted SubmitAck")),
@@ -299,7 +242,7 @@ impl Client {
         }
     }
 
-    /// Scrapes the server's live metrics (protocol v4): one
+    /// Scrapes the server's live metrics: one
     /// snapshot-consistent `at_obs` registry rendering in Prometheus text
     /// form. Read-only and role-neutral, so ops tooling can ride any
     /// existing connection.
@@ -311,7 +254,7 @@ impl Client {
         }
     }
 
-    /// Asks the server for its current topology epoch (protocol v5).
+    /// Asks the server for its current topology epoch.
     /// Read-only and role-neutral, like [`Client::metrics`].
     pub fn topology(&mut self) -> Result<RemoteTopology, ClientError> {
         let reply = self.request(&Frame::TopologyQuery)?;
@@ -329,7 +272,7 @@ impl Client {
         }
     }
 
-    /// Applies one topology operation on the live server (protocol v5):
+    /// Applies one topology operation on the live server:
     /// add, remove, or move an AP. The server drains in-flight requests
     /// onto the old epoch, swaps, and answers with the new topology; an
     /// invalid op is refused with a `ProtocolError` (`BAD_CONFIG`) and
@@ -353,20 +296,9 @@ impl Client {
         }
     }
 
-    /// Localizes this session's spectra. `deadline` is the time budget the
-    /// server may spend (`None` = unbounded). `Overloaded` replies are
-    /// retried up to `max_attempts` total tries, sleeping the longer of
-    /// the configured backoff and the server's hint between tries.
-    pub fn localize(&mut self, deadline: Option<Duration>) -> Result<RemoteFix, ClientError> {
-        let deadline_ms = deadline_to_ms(deadline);
-        self.localize_exchange(&Frame::Localize { deadline_ms })
-    }
-
-    /// Sends a localize-shaped `frame` and interprets the reply, retrying
+    /// Sends a localize frame and interprets the reply, retrying
     /// `Overloaded` answers up to `max_attempts` total tries (sleeping the
-    /// longer of the configured backoff and the server's hint). Shared by
-    /// the legacy in-session [`Client::localize`] and the keyed
-    /// [`AppClient::localize`].
+    /// longer of the configured backoff and the server's hint).
     fn localize_exchange(&mut self, frame: &Frame) -> Result<RemoteFix, ClientError> {
         let mut attempt = 0;
         loop {
@@ -414,13 +346,9 @@ fn deadline_to_ms(deadline: Option<Duration>) -> u32 {
 /// the server rejects (use [`AppClient`] for those).
 ///
 /// The `encoding` policy picks the uplink wire form:
-/// [`Encoding::Raw`] sends v2 `SubmitKeyed` frames (every server),
-/// [`Encoding::Quantized`] / [`Encoding::LosslessDelta`] send v3
-/// `SubmitCompressedKeyed` frames (~10× / ~1.5× smaller). A pre-v3
-/// server answers the first compressed frame with a `ProtocolError` and
-/// hangs up — the client detects that, reconnects, downgrades itself to
-/// raw, and resubmits, so a fleet rollout never needs the APs and the
-/// server upgraded in lockstep.
+/// [`Encoding::Raw`] sends `SubmitKeyed` frames,
+/// [`Encoding::Quantized`] / [`Encoding::LosslessDelta`] send
+/// `SubmitCompressedKeyed` frames (~10× / ~1.5× smaller).
 pub struct ApClient {
     inner: Client,
     encoding: Encoding,
@@ -428,8 +356,7 @@ pub struct ApClient {
 
 impl ApClient {
     /// Connects an ingestion session (same retry policy as
-    /// [`Client::connect`]) streaming raw spectra — the
-    /// every-server-compatible default.
+    /// [`Client::connect`]) streaming raw spectra.
     pub fn connect(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Self, ClientError> {
         Self::connect_with(addr, cfg, Encoding::Raw)
     }
@@ -447,43 +374,15 @@ impl ApClient {
         })
     }
 
-    /// The uplink encoding currently in effect (observably downgraded to
-    /// [`Encoding::Raw`] after a fallback against an old server).
+    /// The uplink encoding this connection submits with.
     pub fn encoding(&self) -> Encoding {
         self.encoding
-    }
-
-    /// Changes the uplink encoding for subsequent submissions.
-    pub fn set_encoding(&mut self, encoding: Encoding) {
-        self.encoding = encoding;
-    }
-
-    /// True when the error pattern-matches "the server does not speak
-    /// this frame": a `ProtocolError` reply (a courteous old server
-    /// reports the undecodable version before closing) or a hangup
-    /// mid-exchange (a terse one just closes).
-    fn version_rejection(e: &ClientError) -> bool {
-        match e {
-            ClientError::Protocol(_) => true,
-            ClientError::Io(e) => matches!(
-                e.kind(),
-                io::ErrorKind::UnexpectedEof
-                    | io::ErrorKind::ConnectionReset
-                    | io::ErrorKind::ConnectionAborted
-                    | io::ErrorKind::BrokenPipe
-            ),
-            _ => false,
-        }
     }
 
     /// Streams one spectrum from deployment AP `ap_id` for client `key`,
     /// `age` refresh intervals old, compressed per the client's
     /// `encoding` policy. Returns the key's resident spectrum count after
     /// the store update.
-    ///
-    /// With a compressed policy against a pre-v3 server, the first
-    /// submission triggers the raw fallback: reconnect, downgrade the
-    /// policy to [`Encoding::Raw`], resubmit the same spectrum losslessly.
     pub fn submit(
         &mut self,
         key: ClientKey,
@@ -491,34 +390,23 @@ impl ApClient {
         age: u64,
         spectrum: &at_core::AoaSpectrum,
     ) -> Result<u32, ClientError> {
-        if let Some(mode) = self.encoding.mode() {
-            let frame = Frame::SubmitCompressedKeyed {
+        let spectrum = spectrum.clone();
+        let frame = match self.encoding.mode() {
+            Some(mode) => Frame::SubmitCompressedKeyed {
                 key,
                 ap_id,
                 age,
                 mode,
-                spectrum: spectrum.clone(),
-            };
-            match self.submit_frame(&frame) {
-                Err(e) if Self::version_rejection(&e) => {
-                    // The server dropped the connection with the refusal;
-                    // dial again and fall back to the raw wire form.
-                    self.inner.reconnect()?;
-                    self.encoding = Encoding::Raw;
-                }
-                other => return other,
-            }
-        }
-        self.submit_frame(&Frame::SubmitKeyed {
-            key,
-            ap_id,
-            age,
-            spectrum: spectrum.clone(),
-        })
-    }
-
-    fn submit_frame(&mut self, frame: &Frame) -> Result<u32, ClientError> {
-        let reply = self.inner.request(frame)?;
+                spectrum,
+            },
+            None => Frame::SubmitKeyed {
+                key,
+                ap_id,
+                age,
+                spectrum,
+            },
+        };
+        let reply = self.inner.request(&frame)?;
         match Client::common(reply)? {
             Frame::SubmitAck { observations } => Ok(observations),
             _ => Err(ClientError::Unexpected("wanted SubmitAck")),
@@ -536,12 +424,12 @@ impl ApClient {
         self.inner.ping(token)
     }
 
-    /// Scrapes the server's live metrics (role-neutral, protocol v4).
+    /// Scrapes the server's live metrics (role-neutral).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.inner.metrics()
     }
 
-    /// Asks the server for its current topology (role-neutral, v5).
+    /// Asks the server for its current topology (role-neutral).
     pub fn topology(&mut self) -> Result<RemoteTopology, ClientError> {
         self.inner.topology()
     }
@@ -566,9 +454,11 @@ impl AppClient {
         })
     }
 
-    /// Localizes whatever spectra the store holds for `key`, with the
-    /// same deadline semantics and `Overloaded` retry discipline as
-    /// [`Client::localize`].
+    /// Localizes whatever spectra the store holds for `key`. `deadline` is
+    /// the time budget the server may spend (`None` = unbounded).
+    /// `Overloaded` replies are retried up to `max_attempts` total tries,
+    /// sleeping the longer of the configured backoff and the server's hint
+    /// between tries.
     pub fn localize(
         &mut self,
         key: ClientKey,
@@ -584,18 +474,18 @@ impl AppClient {
         self.inner.ping(token)
     }
 
-    /// Scrapes the server's live metrics (role-neutral, protocol v4).
+    /// Scrapes the server's live metrics (role-neutral).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.inner.metrics()
     }
 
-    /// Asks the server for its current topology (role-neutral, v5).
+    /// Asks the server for its current topology (role-neutral).
     pub fn topology(&mut self) -> Result<RemoteTopology, ClientError> {
         self.inner.topology()
     }
 
-    /// Applies one topology operation on the live server (role-neutral,
-    /// v5); see [`Client::reconfigure`].
+    /// Applies one topology operation on the live server (role-neutral);
+    /// see [`Client::reconfigure`].
     pub fn reconfigure(
         &mut self,
         op: &at_config::TopologyOp,

@@ -1,5 +1,5 @@
-//! `SpectrumCodec`: the wire-level spectrum compression behind protocol
-//! v3's `SubmitCompressed` frames.
+//! `SpectrumCodec`: the wire-level spectrum compression behind the
+//! `SubmitCompressedKeyed` uplink frame.
 //!
 //! A 720-bin spectrum costs 5.7 KB as raw `f64` bins — the dominant AP
 //! uplink cost once six AP processes fan into one server. Pseudospectra
@@ -31,8 +31,8 @@
 //! Quantization is **idempotent**: compressing an already-dequantized
 //! spectrum reproduces the same codes (the peak bin always maps to the
 //! top code, so the stored peak value is exact), which is what lets a
-//! decoded [`crate::proto::Frame::SubmitCompressed`] re-encode to the
-//! same bytes.
+//! decoded [`crate::proto::Frame::SubmitCompressedKeyed`] re-encode to
+//! the same bytes.
 
 use crate::proto::MAX_BINS;
 use at_core::AoaSpectrum;
@@ -64,14 +64,12 @@ const MODE_LOSSLESS: u8 = 2;
 /// How an [`crate::client::ApClient`] puts spectra on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Encoding {
-    /// Raw `f64` bins in a legacy (v1/v2) submit frame. Interoperates
-    /// with every server.
+    /// Raw `f64` bins in a `SubmitKeyed` frame.
     Raw,
     /// 16-bit log-domain quantized (lossy, ~2e-4 relative error,
-    /// typically ≥8× smaller). Requires a v3 server.
+    /// typically ≥8× smaller).
     Quantized,
     /// XOR-delta compressed `f64` bits (bit-exact, modest savings).
-    /// Requires a v3 server.
     LosslessDelta,
 }
 
@@ -327,9 +325,9 @@ pub fn compress(spectrum: &AoaSpectrum, mode: CompressedMode) -> Vec<u8> {
     out
 }
 
-/// Raw wire cost of the same spectrum in a legacy `f64` submit payload
-/// (`u32` bin count + 8 bytes per bin) — the denominator of the
-/// compression-ratio gauge.
+/// Raw wire cost of the same spectrum as `SubmitKeyed` bins (`u32` bin
+/// count + 8 bytes per bin) — the denominator of the compression-ratio
+/// gauge.
 pub fn raw_wire_bytes(bins: usize) -> u64 {
     4 + 8 * bins as u64
 }

@@ -5,30 +5,36 @@
 //! the §4.4 latency budget is an end-to-end service number). This crate is
 //! that network boundary, built entirely on `std::net` + threads:
 //!
-//! - [`proto`] — a versioned, length-prefixed binary wire protocol with a
-//!   total decoder: arbitrary bytes yield a frame, a "need more" signal,
-//!   or a typed error, never a panic;
-//! - [`codec`] — wire-level spectrum compression (protocol v3): 16-bit
-//!   log-domain quantization with a delta/varint/run-length tail for the
-//!   AP uplink (~10× smaller), plus a lossless XOR-delta mode for
-//!   bit-exact replay; the decompressor is total like the frame decoder;
+//! - [`proto`] — a single-version, length-prefixed binary wire protocol
+//!   with a total decoder: arbitrary bytes yield a frame, a "need more"
+//!   signal, or a typed error, never a panic;
+//! - [`codec`] — wire-level spectrum compression: 16-bit log-domain
+//!   quantization with a delta/varint/run-length tail for the AP uplink
+//!   (~10× smaller), plus a lossless XOR-delta mode for bit-exact replay;
+//!   the decompressor is total like the frame decoder;
+//! - [`store`] — the sharded keyed session store, the server's only
+//!   session model: AP connections submit spectra for a [`ClientKey`],
+//!   application connections localize that key;
 //! - [`queue`] — bounded closing queues, the backpressure primitive;
-//! - [`batch`] — the coalescing window that turns concurrent localize
-//!   requests into one shared-engine sweep;
+//! - [`batch`] — the coalescing window that groups concurrent localize
+//!   requests for one worker;
 //! - [`server`] — the thread-pool TCP server: admission control that
 //!   sheds load with typed `Overloaded` frames instead of queuing
 //!   unboundedly, client-propagated deadlines enforced before the
-//!   expensive stages, request batching, and drain-then-stop shutdown;
-//! - [`client`] — a blocking client with the same bounded-attempts retry
-//!   discipline as the testbed's acquisition layer.
+//!   expensive stages, request batching, a [`RecordTap`] on every
+//!   store-mutating event (so every fix replays), and drain-then-stop
+//!   shutdown;
+//! - [`client`] — blocking clients (role-neutral [`Client`], ingestion
+//!   [`ApClient`], query [`AppClient`]) with the same bounded-attempts
+//!   retry discipline as the testbed's acquisition layer.
 //!
-//! The server fuses through [`at_core::plan_fusion`] /
-//! [`at_core::execute_fusion`] — the exact code path behind the in-process
-//! `ArrayTrackServer::try_localize` — so a networked fix is bit-exact with
-//! the in-process one and degraded deployments keep their typed
-//! `LocalizeError`/health semantics across the wire. Every stage records
-//! into `at-obs` (queue-depth gauges, shed and deadline-miss counters,
-//! `serve_*` stage histograms).
+//! The server fuses through [`at_core::fuse`] (i.e.
+//! [`at_core::plan_fusion`] + [`at_core::execute_fusion`]) — the exact
+//! code path behind the in-process `ArrayTrackServer::try_localize` — so a
+//! networked fix is bit-exact with the in-process one and degraded
+//! deployments keep their typed `LocalizeError`/health semantics across
+//! the wire. Every stage records into `at-obs` (queue-depth gauges, shed
+//! and deadline-miss counters, `serve_*` stage histograms).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

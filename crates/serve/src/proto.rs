@@ -1,5 +1,4 @@
-//! The versioned, length-prefixed binary wire protocol of the location
-//! service.
+//! The length-prefixed binary wire protocol of the location service.
 //!
 //! Every frame is `MAGIC ("AT") + version + frame type + payload length
 //! (u32 LE) + payload`, all integers little-endian. The decoder is total:
@@ -9,32 +8,32 @@
 //! corrupt peer cannot take the server down (the `proto_proptests` suite
 //! fuzzes this over random, truncated, and bit-flipped frames).
 //!
-//! Client → server frames: [`Frame::SubmitSpectrum`],
-//! [`Frame::ReportFailure`], [`Frame::Localize`], [`Frame::ClearSession`],
-//! [`Frame::Ping`], and — version 2, the multi-process deployment split —
-//! [`Frame::SubmitKeyed`] (AP ingestion role: a spectrum tagged with the
-//! [`ClientKey`] it belongs to) and [`Frame::LocalizeKey`] (application
-//! query role: localize whatever the server's session store holds for a
-//! key) — and, version 3, the compressed uplink:
-//! [`Frame::SubmitCompressed`] and [`Frame::SubmitCompressedKeyed`],
-//! whose spectra travel as [`crate::codec`] blobs (16-bit log-domain
-//! quantized, or lossless XOR-delta for bit-exact replay) instead of raw
-//! `f64` bins — and, version 4, the read-only, role-neutral metrics
-//! scrape [`Frame::MetricsQuery`] answered with
-//! [`Frame::MetricsReport`]. Server → client frames: [`Frame::SubmitAck`],
-//! [`Frame::Fix`], [`Frame::Failed`], [`Frame::Overloaded`],
-//! [`Frame::DeadlineExceeded`], [`Frame::Pong`], [`Frame::ProtocolError`],
-//! [`Frame::ShuttingDown`]. Every submission path — raw or compressed —
-//! enforces the [`AoaSpectrum`] invariants (finite, non-negative, ≥ 8
-//! bins) at decode, so a decoded frame can always be turned into a
-//! spectrum without panicking.
+//! Client → server frames, by role:
+//! - AP ingestion: [`Frame::SubmitKeyed`] (a spectrum tagged with the
+//!   [`ClientKey`] it belongs to, as raw `f64` bins) and
+//!   [`Frame::SubmitCompressedKeyed`] (the same, as a [`crate::codec`]
+//!   blob — 16-bit log-domain quantized, or lossless XOR-delta for
+//!   bit-exact replay);
+//! - application query: [`Frame::LocalizeKey`] (localize whatever the
+//!   server's session store holds for a key);
+//! - role-neutral: [`Frame::ReportFailure`], [`Frame::Ping`], the metrics
+//!   scrape [`Frame::MetricsQuery`], and topology administration
+//!   [`Frame::Reconfigure`] / [`Frame::TopologyQuery`].
 //!
-//! **Versioning**: each frame is encoded with the *lowest* protocol
-//! version that defines it ([`Frame::wire_version`]), and the decoder
-//! accepts [`MIN_VERSION`]`..=`[`VERSION`] headers. A keyed (v2) or
-//! compressed (v3) frame type arriving under an older header is a typed
-//! [`DecodeError::VersionGated`] — never a misparse — so an old peer that
-//! replays new type bytes fails loudly at the framing layer.
+//! Server → client frames: [`Frame::SubmitAck`], [`Frame::Fix`],
+//! [`Frame::Failed`], [`Frame::Overloaded`], [`Frame::DeadlineExceeded`],
+//! [`Frame::Pong`], [`Frame::ProtocolError`], [`Frame::ShuttingDown`],
+//! [`Frame::MetricsReport`], [`Frame::TopologyInfo`]. Every submission
+//! path — raw or compressed — enforces the [`AoaSpectrum`] invariants
+//! (finite, non-negative, ≥ 8 bins) at decode, so a decoded frame can
+//! always be turned into a spectrum without panicking.
+//!
+//! **Versioning**: the protocol has one version, [`VERSION`]. Every frame
+//! encodes under it, and any other header version is a typed
+//! [`DecodeError::BadVersion`]. Type bytes retired with earlier versions
+//! (`0x01`, `0x03`, `0x04`, `0x08`: the per-connection session's submit,
+//! localize, clear, and compressed submit) are not reused; they decode as
+//! [`DecodeError::UnknownType`].
 
 use crate::codec::{self, CompressedMode};
 use at_channel::geometry::pt;
@@ -48,21 +47,10 @@ use std::io::{self, Read, Write};
 /// Frame preamble: every frame starts with these two bytes.
 pub const MAGIC: [u8; 2] = *b"AT";
 
-/// Current protocol version. Version 2 added the keyed ingestion/query
-/// split ([`Frame::SubmitKeyed`], [`Frame::LocalizeKey`]); version 3
-/// added the compressed uplink ([`Frame::SubmitCompressed`],
-/// [`Frame::SubmitCompressedKeyed`]); version 4 added the read-only
-/// metrics scrape ([`Frame::MetricsQuery`], [`Frame::MetricsReport`]);
-/// version 5 added live topology administration ([`Frame::Reconfigure`],
-/// [`Frame::TopologyQuery`], [`Frame::TopologyInfo`]).
-/// Versions outside [`MIN_VERSION`]`..=`[`VERSION`] are rejected with
-/// [`DecodeError::BadVersion`] so incompatible peers fail loudly, not
-/// subtly.
-pub const VERSION: u8 = 5;
-
-/// Oldest protocol version still decoded. Version-1 peers keep working:
-/// every pre-keyed frame type is unchanged on the wire.
-pub const MIN_VERSION: u8 = 1;
+/// The protocol version: every frame encodes under it, and any other
+/// header version is rejected with [`DecodeError::BadVersion`] so
+/// incompatible peers fail loudly, not subtly.
+pub const VERSION: u8 = 6;
 
 /// Identifies one tracked client across AP ingestion connections and
 /// application query connections: six AP processes stream
@@ -98,17 +86,6 @@ pub struct ApHealthReport {
 /// One protocol frame, either direction.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// Client → server: a processed AoA spectrum from deployment AP
-    /// `ap_id`, `age` refresh intervals old, for this connection's
-    /// session. Acknowledged with [`Frame::SubmitAck`].
-    SubmitSpectrum {
-        /// Deployment AP index the spectrum came from.
-        ap_id: u32,
-        /// Spectrum age in server refresh intervals (0 = fresh).
-        age: u64,
-        /// The spectrum itself (validated on decode).
-        spectrum: AoaSpectrum,
-    },
     /// Client → server: AP `ap_id` failed to acquire this interval
     /// (drives the server-side health tracker exactly like
     /// `ArrayTrackServer::report_acquisition_failure`).
@@ -116,30 +93,16 @@ pub enum Frame {
         /// Deployment AP index that failed.
         ap_id: u32,
     },
-    /// Client → server: localize this session's accumulated spectra.
-    /// `deadline_ms` is the client's time budget from frame receipt
-    /// (0 = no deadline); the server sheds the request with
-    /// [`Frame::DeadlineExceeded`] instead of doing work that can no
-    /// longer be useful.
-    Localize {
-        /// Relative deadline in milliseconds (0 = none).
-        deadline_ms: u32,
-    },
-    /// Client → server: drop this session's accumulated spectra (health
-    /// state is deployment-wide and deliberately survives, mirroring
-    /// `ArrayTrackServer::clear`).
-    ClearSession,
     /// Client → server: liveness probe, answered with [`Frame::Pong`]
     /// without touching the localize queues.
     Ping {
         /// Echo token.
         token: u64,
     },
-    /// AP process → server (version 2): a processed AoA spectrum for
-    /// tracked client `key`, heard by deployment AP `ap_id`. Lands in the
-    /// server's session store (replacing that AP's previous spectrum for
-    /// the key atomically) rather than in this connection's private
-    /// session; acknowledged with [`Frame::SubmitAck`] carrying the
+    /// AP process → server: a processed AoA spectrum for tracked client
+    /// `key`, heard by deployment AP `ap_id`. Lands in the server's
+    /// session store (replacing that AP's previous spectrum for the key
+    /// atomically); acknowledged with [`Frame::SubmitAck`] carrying the
     /// key's resident spectrum count.
     SubmitKeyed {
         /// The tracked client this spectrum belongs to.
@@ -152,35 +115,23 @@ pub enum Frame {
         /// The spectrum itself (validated on decode).
         spectrum: AoaSpectrum,
     },
-    /// Application → server (version 2): localize tracked client `key`
-    /// from whatever spectra the session store currently holds for it.
-    /// Deadline semantics match [`Frame::Localize`].
+    /// Application → server: localize tracked client `key` from whatever
+    /// spectra the session store currently holds for it. `deadline_ms`
+    /// is the client's time budget from frame receipt (0 = no deadline);
+    /// the server sheds the request with [`Frame::DeadlineExceeded`]
+    /// instead of doing work that can no longer be useful.
     LocalizeKey {
         /// The tracked client to localize.
         key: ClientKey,
         /// Relative deadline in milliseconds (0 = none).
         deadline_ms: u32,
     },
-    /// Client → server (version 3): [`Frame::SubmitSpectrum`] with the
-    /// spectrum as a [`crate::codec`] blob instead of raw `f64` bins.
-    /// The spectrum held here is what the wire delivers: for
-    /// [`CompressedMode::Quantized`] that is the grid-snapped
-    /// ([`codec::quantized`]) spectrum, for
+    /// AP process → server: [`Frame::SubmitKeyed`] with the spectrum as a
+    /// [`crate::codec`] blob instead of raw `f64` bins — the high-volume
+    /// uplink frame the codec exists for. The spectrum held here is what
+    /// the wire delivers: for [`CompressedMode::Quantized`] that is the
+    /// grid-snapped ([`codec::quantized`]) spectrum, for
     /// [`CompressedMode::Lossless`] the bit-exact original.
-    SubmitCompressed {
-        /// Deployment AP index the spectrum came from.
-        ap_id: u32,
-        /// Spectrum age in server refresh intervals (0 = fresh).
-        age: u64,
-        /// Which codec layout the blob uses.
-        mode: CompressedMode,
-        /// The spectrum as decoded from (or to be encoded into) the
-        /// compressed blob.
-        spectrum: AoaSpectrum,
-    },
-    /// AP process → server (version 3): [`Frame::SubmitKeyed`] with a
-    /// compressed spectrum — the high-volume uplink frame the codec
-    /// exists for.
     SubmitCompressedKeyed {
         /// The tracked client this spectrum belongs to.
         key: ClientKey,
@@ -194,10 +145,10 @@ pub enum Frame {
         /// compressed blob.
         spectrum: AoaSpectrum,
     },
-    /// Server → client: submission accepted; `observations` is the
-    /// session's accumulated spectrum count.
+    /// Server → client: submission accepted; `observations` is the key's
+    /// resident spectrum count (0 for a failure report).
     SubmitAck {
-        /// Observations now held for this session.
+        /// Spectra now resident for the submitted key.
         observations: u32,
     },
     /// Server → client: a location fix plus the deployment health the
@@ -243,13 +194,13 @@ pub enum Frame {
     /// Server → client: the server is draining; the request was not
     /// admitted. Reconnect elsewhere or retry later.
     ShuttingDown,
-    /// Client → server (version 4): scrape the server's live metrics.
+    /// Client → server: scrape the server's live metrics.
     /// Read-only and role-neutral — any connection (AP, app, or untyped)
     /// may ask without typing itself — answered with
     /// [`Frame::MetricsReport`] holding a snapshot-consistent
     /// `at_obs` Prometheus rendering.
     MetricsQuery,
-    /// Server → client (version 4): answer to [`Frame::MetricsQuery`] —
+    /// Server → client: answer to [`Frame::MetricsQuery`] —
     /// one `at_obs::snapshot::MetricsSnapshot` in Prometheus text form
     /// (truncated at the payload cap; the snapshot itself is taken
     /// atomically, so every series in it is from the same instant).
@@ -257,7 +208,7 @@ pub enum Frame {
         /// Prometheus text exposition of the snapshot.
         text: String,
     },
-    /// Admin → server (version 5): change the deployment topology on a
+    /// Admin → server: change the deployment topology on a
     /// live server — add, remove, or move one AP. The server drains
     /// in-flight localizes onto the old epoch, rebuilds for the new one
     /// (reusing per-AP steering grids for unchanged APs), remaps the
@@ -269,11 +220,11 @@ pub enum Frame {
         /// The topology change to apply.
         op: TopologyOp,
     },
-    /// Any client → server (version 5): ask which topology epoch the
+    /// Any client → server: ask which topology epoch the
     /// server is on. Read-only and role-neutral like
     /// [`Frame::MetricsQuery`]; answered with [`Frame::TopologyInfo`].
     TopologyQuery,
-    /// Server → client (version 5): the current topology — epoch counter,
+    /// Server → client: the current topology — epoch counter,
     /// the epoch's canonical config fingerprint (see
     /// `at_config::SystemConfig::fingerprint`), and the AP poses in
     /// deployment-id order.
@@ -288,16 +239,13 @@ pub enum Frame {
     },
 }
 
-/// Frame-type byte values (requests < 0x80, responses ≥ 0x80).
+/// Frame-type byte values (requests < 0x80, responses ≥ 0x80). The gaps
+/// at 0x01, 0x03, 0x04 and 0x08 are retired types, never reused.
 mod ft {
-    pub const SUBMIT: u8 = 0x01;
     pub const REPORT_FAILURE: u8 = 0x02;
-    pub const LOCALIZE: u8 = 0x03;
-    pub const CLEAR: u8 = 0x04;
     pub const PING: u8 = 0x05;
     pub const SUBMIT_KEYED: u8 = 0x06;
     pub const LOCALIZE_KEY: u8 = 0x07;
-    pub const SUBMIT_COMPRESSED: u8 = 0x08;
     pub const SUBMIT_COMPRESSED_KEYED: u8 = 0x09;
     pub const METRICS_QUERY: u8 = 0x0A;
     pub const RECONFIGURE: u8 = 0x0B;
@@ -341,17 +289,6 @@ pub enum DecodeError {
         /// The type byte found.
         got: u8,
     },
-    /// A frame type newer than the header's declared version: the peer is
-    /// replaying bytes it does not actually speak. Typed so a version-1
-    /// peer carrying keyed frames fails loudly instead of misparsing.
-    VersionGated {
-        /// The frame-type byte.
-        frame: u8,
-        /// The version the header declared.
-        got: u8,
-        /// The version this frame type first appeared in.
-        need: u8,
-    },
     /// Declared payload length exceeds [`MAX_PAYLOAD`].
     Oversize {
         /// The declared length.
@@ -374,10 +311,6 @@ impl fmt::Display for DecodeError {
                 write!(f, "unsupported protocol version {got} (want {VERSION})")
             }
             Self::UnknownType { got } => write!(f, "unknown frame type 0x{got:02x}"),
-            Self::VersionGated { frame, got, need } => write!(
-                f,
-                "frame type 0x{frame:02x} requires protocol version {need}, header declared {got}"
-            ),
             Self::Oversize { len } => {
                 write!(f, "payload of {len} bytes exceeds the {MAX_PAYLOAD} cap")
             }
@@ -471,42 +404,13 @@ fn status_from_wire(b: u8) -> Option<ApStatus> {
     }
 }
 
-/// The protocol version a frame type first appeared in; `None` for
-/// unknown type bytes.
-fn min_version_for(ty: u8) -> Option<u8> {
-    match ty {
-        ft::SUBMIT
-        | ft::REPORT_FAILURE
-        | ft::LOCALIZE
-        | ft::CLEAR
-        | ft::PING
-        | ft::SUBMIT_ACK
-        | ft::FIX
-        | ft::FAILED
-        | ft::OVERLOADED
-        | ft::DEADLINE
-        | ft::PONG
-        | ft::PROTOCOL_ERROR
-        | ft::SHUTTING_DOWN => Some(1),
-        ft::SUBMIT_KEYED | ft::LOCALIZE_KEY => Some(2),
-        ft::SUBMIT_COMPRESSED | ft::SUBMIT_COMPRESSED_KEYED => Some(3),
-        ft::METRICS_QUERY | ft::METRICS_REPORT => Some(4),
-        ft::RECONFIGURE | ft::TOPOLOGY_QUERY | ft::TOPOLOGY_INFO => Some(5),
-        _ => None,
-    }
-}
-
 impl Frame {
     fn type_byte(&self) -> u8 {
         match self {
-            Frame::SubmitSpectrum { .. } => ft::SUBMIT,
             Frame::ReportFailure { .. } => ft::REPORT_FAILURE,
-            Frame::Localize { .. } => ft::LOCALIZE,
-            Frame::ClearSession => ft::CLEAR,
             Frame::Ping { .. } => ft::PING,
             Frame::SubmitKeyed { .. } => ft::SUBMIT_KEYED,
             Frame::LocalizeKey { .. } => ft::LOCALIZE_KEY,
-            Frame::SubmitCompressed { .. } => ft::SUBMIT_COMPRESSED,
             Frame::SubmitCompressedKeyed { .. } => ft::SUBMIT_COMPRESSED_KEYED,
             Frame::SubmitAck { .. } => ft::SUBMIT_ACK,
             Frame::Fix { .. } => ft::FIX,
@@ -524,34 +428,15 @@ impl Frame {
         }
     }
 
-    /// The version byte this frame encodes under: the lowest protocol
-    /// version that defines its type, so version-1 peers keep decoding
-    /// every pre-keyed frame unchanged.
-    pub fn wire_version(&self) -> u8 {
-        min_version_for(self.type_byte()).expect("own frame types are known")
-    }
-
     /// Appends this frame's wire encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let header_at = out.len();
         out.extend_from_slice(&MAGIC);
-        out.push(self.wire_version());
+        out.push(VERSION);
         out.push(self.type_byte());
         push_u32(out, 0); // payload length, patched below
         let payload_at = out.len();
         match self {
-            Frame::SubmitSpectrum {
-                ap_id,
-                age,
-                spectrum,
-            } => {
-                push_u32(out, *ap_id);
-                push_u64(out, *age);
-                push_u32(out, spectrum.bins() as u32);
-                for v in spectrum.values() {
-                    push_f64(out, *v);
-                }
-            }
             Frame::SubmitKeyed {
                 key,
                 ap_id,
@@ -570,16 +455,6 @@ impl Frame {
                 push_u64(out, *key);
                 push_u32(out, *deadline_ms);
             }
-            Frame::SubmitCompressed {
-                ap_id,
-                age,
-                mode,
-                spectrum,
-            } => {
-                push_u32(out, *ap_id);
-                push_u64(out, *age);
-                codec::compress_into(out, spectrum, *mode);
-            }
             Frame::SubmitCompressedKeyed {
                 key,
                 ap_id,
@@ -593,9 +468,7 @@ impl Frame {
                 codec::compress_into(out, spectrum, *mode);
             }
             Frame::ReportFailure { ap_id } => push_u32(out, *ap_id),
-            Frame::Localize { deadline_ms } => push_u32(out, *deadline_ms),
-            Frame::ClearSession
-            | Frame::DeadlineExceeded
+            Frame::DeadlineExceeded
             | Frame::ShuttingDown
             | Frame::MetricsQuery
             | Frame::TopologyQuery => {}
@@ -716,31 +589,10 @@ fn decode_spectrum(
 }
 
 /// Decodes the payload of a frame whose header already validated.
-/// `version` is the header's declared version: a frame type newer than it
-/// is [`DecodeError::VersionGated`], decided *before* any payload parse.
-fn decode_payload(version: u8, ty: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
+fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
     let mal = |reason: &'static str| DecodeError::Malformed { frame: ty, reason };
-    if let Some(need) = min_version_for(ty) {
-        if version < need {
-            return Err(DecodeError::VersionGated {
-                frame: ty,
-                got: version,
-                need,
-            });
-        }
-    }
     let mut c = Cur::new(payload);
     let frame = match ty {
-        ft::SUBMIT => {
-            let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
-            let age = c.u64().ok_or(mal("truncated age"))?;
-            let spectrum = decode_spectrum(&mut c, &mal)?;
-            Frame::SubmitSpectrum {
-                ap_id,
-                age,
-                spectrum,
-            }
-        }
         ft::SUBMIT_KEYED => {
             let key = c.u64().ok_or(mal("truncated key"))?;
             let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
@@ -757,17 +609,6 @@ fn decode_payload(version: u8, ty: u8, payload: &[u8]) -> Result<Frame, DecodeEr
             key: c.u64().ok_or(mal("truncated key"))?,
             deadline_ms: c.u32().ok_or(mal("truncated deadline"))?,
         },
-        ft::SUBMIT_COMPRESSED => {
-            let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
-            let age = c.u64().ok_or(mal("truncated age"))?;
-            let (mode, spectrum) = codec::decompress(c.rest()).map_err(|e| mal(e.reason()))?;
-            Frame::SubmitCompressed {
-                ap_id,
-                age,
-                mode,
-                spectrum,
-            }
-        }
         ft::SUBMIT_COMPRESSED_KEYED => {
             let key = c.u64().ok_or(mal("truncated key"))?;
             let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
@@ -784,10 +625,6 @@ fn decode_payload(version: u8, ty: u8, payload: &[u8]) -> Result<Frame, DecodeEr
         ft::REPORT_FAILURE => Frame::ReportFailure {
             ap_id: c.u32().ok_or(mal("truncated ap_id"))?,
         },
-        ft::LOCALIZE => Frame::Localize {
-            deadline_ms: c.u32().ok_or(mal("truncated deadline"))?,
-        },
-        ft::CLEAR => Frame::ClearSession,
         ft::PING => Frame::Ping {
             token: c.u64().ok_or(mal("truncated token"))?,
         },
@@ -935,9 +772,8 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
-    let version = buf[2];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(DecodeError::BadVersion { got: version });
+    if buf[2] != VERSION {
+        return Err(DecodeError::BadVersion { got: buf[2] });
     }
     let ty = buf[3];
     let len = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
@@ -950,7 +786,7 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
     if buf.len() < end {
         return Ok(None);
     }
-    let frame = decode_payload(version, ty, &buf[HEADER_LEN..end])?;
+    let frame = decode_payload(ty, &buf[HEADER_LEN..end])?;
     Ok(Some((frame, end)))
 }
 
@@ -1063,11 +899,6 @@ mod tests {
 
     #[test]
     fn all_frame_types_roundtrip_bit_exact() {
-        roundtrip(Frame::SubmitSpectrum {
-            ap_id: 3,
-            age: 7,
-            spectrum: spectrum(),
-        });
         roundtrip(Frame::SubmitKeyed {
             key: 0x0123_4567_89AB_CDEF,
             ap_id: 5,
@@ -1081,18 +912,6 @@ mod tests {
         // Lossless compressed frames round-trip any spectrum bit-exactly;
         // quantized frames round-trip grid-snapped spectra bit-exactly
         // (quantization is idempotent, so construct on the grid).
-        roundtrip(Frame::SubmitCompressed {
-            ap_id: 1,
-            age: 3,
-            mode: CompressedMode::Lossless,
-            spectrum: spectrum(),
-        });
-        roundtrip(Frame::SubmitCompressed {
-            ap_id: 1,
-            age: 3,
-            mode: CompressedMode::Quantized,
-            spectrum: codec::quantized(&spectrum()),
-        });
         roundtrip(Frame::SubmitCompressedKeyed {
             key: 0xFEED_F00D,
             ap_id: 4,
@@ -1108,8 +927,6 @@ mod tests {
             spectrum: codec::quantized(&spectrum()),
         });
         roundtrip(Frame::ReportFailure { ap_id: 2 });
-        roundtrip(Frame::Localize { deadline_ms: 150 });
-        roundtrip(Frame::ClearSession);
         roundtrip(Frame::Ping { token: 0xDEAD_BEEF });
         roundtrip(Frame::SubmitAck { observations: 6 });
         roundtrip(Frame::Fix {
@@ -1198,48 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_frames_are_version_gated() {
-        // The scrape pair encodes under v4; every older header is the
-        // typed VersionGated error, never a misparse.
-        let mut bytes = Frame::MetricsQuery.encode();
-        assert_eq!(bytes[2], 4, "metrics frames declare v4 on the wire");
-        for old in 1..4u8 {
-            bytes[2] = old;
-            assert_eq!(
-                decode(&bytes),
-                Err(DecodeError::VersionGated {
-                    frame: 0x0A,
-                    got: old,
-                    need: 4,
-                })
-            );
-        }
-    }
-
-    #[test]
-    fn topology_frames_are_version_gated() {
-        // The topology trio encodes under v5; every older header is the
-        // typed VersionGated error, never a misparse.
-        let mut bytes = Frame::TopologyQuery.encode();
-        assert_eq!(bytes[2], 5, "topology frames declare v5 on the wire");
-        for old in 1..5u8 {
-            bytes[2] = old;
-            assert_eq!(
-                decode(&bytes),
-                Err(DecodeError::VersionGated {
-                    frame: 0x0C,
-                    got: old,
-                    need: 5,
-                })
-            );
-        }
-        // Legacy frames still encode under their original versions, so
-        // old peers keep working untouched by the bump.
-        assert_eq!(Frame::Ping { token: 1 }.encode()[2], 1);
-        assert_eq!(Frame::MetricsQuery.encode()[2], 4);
-    }
-
-    #[test]
     fn reconfigure_rejects_garbage_ops() {
         // A Reconfigure frame whose payload is not a TopologyOp is a typed
         // Malformed error, not a panic.
@@ -1282,7 +1057,7 @@ mod tests {
             Err(DecodeError::BadVersion { got: 9 })
         );
         assert_eq!(
-            decode(b"AT\x01\x7f\x00\x00\x00\x00"),
+            decode(&[b'A', b'T', VERSION, 0x7f, 0, 0, 0, 0]),
             Err(DecodeError::UnknownType { got: 0x7f })
         );
         let oversize = [b'A', b'T', VERSION, ft::PING, 0xff, 0xff, 0xff, 0xff];
@@ -1293,98 +1068,35 @@ mod tests {
     }
 
     #[test]
-    fn keyed_frames_are_version_gated() {
-        // Keyed frames encode under version 2; legacy frames stay at 1,
-        // so old peers keep decoding them.
-        assert_eq!(
-            Frame::LocalizeKey {
-                key: 1,
-                deadline_ms: 0
-            }
-            .encode()[2],
-            2
-        );
-        assert_eq!(Frame::Ping { token: 1 }.encode()[2], 1);
-        // The same keyed bytes under a version-1 header are a typed
-        // VersionGated error, not an UnknownType or a misparse.
-        let mut bytes = Frame::LocalizeKey {
-            key: 7,
-            deadline_ms: 10,
-        }
-        .encode();
-        bytes[2] = 1;
-        assert_eq!(
-            decode(&bytes),
-            Err(DecodeError::VersionGated {
-                frame: 0x07,
-                got: 1,
-                need: 2,
-            })
-        );
-        // A version beyond VERSION stays BadVersion.
-        bytes[2] = VERSION + 1;
-        assert_eq!(
-            decode(&bytes),
-            Err(DecodeError::BadVersion { got: VERSION + 1 })
-        );
-    }
-
-    #[test]
-    fn compressed_frames_are_version_gated() {
-        // Compressed frames declare v3 on the wire; the same bytes under
-        // a v1 or v2 header are the typed VersionGated error — never a
-        // misparse, never accepted.
-        let mut bytes = Frame::SubmitCompressed {
+    fn corrupt_codec_blobs_are_malformed() {
+        let mut bytes = Frame::SubmitCompressedKeyed {
+            key: 0,
             ap_id: 0,
             age: 0,
             mode: CompressedMode::Lossless,
             spectrum: spectrum(),
         }
         .encode();
-        assert_eq!(bytes[2], 3);
-        for old in [1, 2] {
-            bytes[2] = old;
-            assert_eq!(
-                decode(&bytes),
-                Err(DecodeError::VersionGated {
-                    frame: 0x08,
-                    got: old,
-                    need: 3,
-                })
-            );
-        }
-        // A corrupt codec blob under the right version is Malformed.
-        let mut bytes = Frame::SubmitCompressed {
-            ap_id: 0,
-            age: 0,
-            mode: CompressedMode::Lossless,
-            spectrum: spectrum(),
-        }
-        .encode();
-        bytes[HEADER_LEN + 12] = 0xBB; // clobber the codec mode byte
+        bytes[HEADER_LEN + 20] = 0xBB; // clobber the codec mode byte
         assert!(matches!(decode(&bytes), Err(DecodeError::Malformed { .. })));
     }
 
     #[test]
     fn hostile_spectra_are_rejected() {
-        // NaN values must not reach AoaSpectrum::from_values.
-        let mut bytes = Frame::SubmitSpectrum {
+        let submit = || Frame::SubmitKeyed {
+            key: 0,
             ap_id: 0,
             age: 0,
             spectrum: spectrum(),
-        }
-        .encode();
+        };
+        // NaN values must not reach AoaSpectrum::from_values.
+        let mut bytes = submit().encode();
         let nan = f64::NAN.to_bits().to_le_bytes();
-        bytes[HEADER_LEN + 16..HEADER_LEN + 24].copy_from_slice(&nan);
+        bytes[HEADER_LEN + 24..HEADER_LEN + 32].copy_from_slice(&nan);
         assert!(matches!(decode(&bytes), Err(DecodeError::Malformed { .. })));
         // A bin count that disagrees with the payload is malformed.
-        let mut bytes = Frame::SubmitSpectrum {
-            ap_id: 0,
-            age: 0,
-            spectrum: spectrum(),
-        }
-        .encode();
-        bytes[HEADER_LEN + 12..HEADER_LEN + 16].copy_from_slice(&10_000u32.to_le_bytes());
+        let mut bytes = submit().encode();
+        bytes[HEADER_LEN + 20..HEADER_LEN + 24].copy_from_slice(&10_000u32.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(DecodeError::Malformed { .. })));
     }
 
@@ -1401,11 +1113,11 @@ mod tests {
     fn streamed_frames_decode_one_at_a_time() {
         let mut buf = Vec::new();
         Frame::Ping { token: 1 }.encode_into(&mut buf);
-        Frame::ClearSession.encode_into(&mut buf);
+        Frame::MetricsQuery.encode_into(&mut buf);
         let (f1, used) = decode(&buf).unwrap().unwrap();
         assert_eq!(f1, Frame::Ping { token: 1 });
         let (f2, used2) = decode(&buf[used..]).unwrap().unwrap();
-        assert_eq!(f2, Frame::ClearSession);
+        assert_eq!(f2, Frame::MetricsQuery);
         assert_eq!(used + used2, buf.len());
     }
 

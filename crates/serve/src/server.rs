@@ -8,7 +8,7 @@
 //!   (1/socket)    shed ⇒ Overloaded      (coalesce ≤ window)   queue
 //!                                                               │
 //!                                         workers ◀─────────────┘
-//!                                  (fuse_batch on the shared engine)
+//!                              (at_core::fuse per job, shared engine)
 //! ```
 //!
 //! - **Admission control** is the `try_push` edge: when the admission
@@ -20,8 +20,12 @@
 //!   *before* the expensive fusion sweep, so a request that can no longer
 //!   make its deadline costs a queue slot, not an engine walk.
 //! - **Batching** coalesces localize requests arriving within
-//!   [`BatchPolicy::window`] into one [`at_core::fuse_batch`] sweep over
-//!   the shared precomputed engine.
+//!   [`BatchPolicy::window`] into one batch; a worker fuses its jobs one
+//!   after another under one health snapshot, on the shared precomputed
+//!   engine and the worker's own fusion scratch.
+//! - **Sessions** live in the keyed [`SessionStore`] only: AP connections
+//!   submit into it, application connections localize from it, and every
+//!   admitted event passes the [`RecordTap`], so every fix is replayable.
 //! - **Shutdown** is drain-then-stop: the admission queue closes (new
 //!   requests see [`Frame::ShuttingDown`]), everything already admitted is
 //!   fused and answered, then the stage threads and connections wind down
@@ -37,11 +41,12 @@ use crate::batch::{gather, AdaptivePolicy, BatchController, BatchPolicy};
 use crate::codec;
 use crate::proto::{self, ApHealthReport, ClientKey, Frame, ReadError, HEADER_LEN};
 use crate::queue::Bounded;
-use crate::store::{SessionPolicy, SessionStore};
+use crate::store::{KeyedObs, SessionPolicy, SessionStore};
 use at_config::{ConfigError, SystemConfig, TopologyOp};
 use at_core::health::{HealthPolicy, HealthTracker};
 use at_core::synthesis::{ApPose, SearchRegion};
-use at_core::{AoaSpectrum, FusedObservation, LocalizationEngine, LocationEstimate};
+use at_core::{AoaSpectrum, FusedObservation, FusionScratch, LocalizationEngine, LocationEstimate};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -131,37 +136,30 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics on zero workers, zero queue depths, or an inconsistent
-    /// adaptive or session policy.
-    pub fn validate(&self) {
-        assert!(self.workers >= 1, "need at least one worker");
-        assert!(self.admission_depth >= 1, "admission queue needs depth");
-        assert!(self.exec_depth >= 1, "exec queue needs depth");
-        self.batch.validate();
-        if let Some(a) = &self.adaptive {
-            a.validate();
+    /// Validates the configuration: a typed [`ConfigError`] on zero
+    /// workers, zero queue depths, an inconsistent batch or adaptive
+    /// policy, or an inconsistent session policy.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.workers == 0 {
+            return Err(ConfigError::Serve("need at least one worker"));
         }
-        self.session.validate();
+        if self.admission_depth == 0 || self.exec_depth == 0 {
+            return Err(ConfigError::Serve("queue depths must be at least 1"));
+        }
+        self.batch.validate()?;
+        if let Some(a) = &self.adaptive {
+            a.validate()?;
+        }
+        self.session.check()
     }
-}
-
-/// One spectrum accumulated in a connection's session (legacy path) or
-/// snapshotted from the keyed store. The spectrum rides behind an `Arc` so
-/// a store snapshot is a pointer clone per slot — and so a submit racing a
-/// localize for the same key replaces the pointer whole, never the bins.
-#[derive(Clone)]
-struct SessionObs {
-    ap_id: u32,
-    age: u64,
-    spectrum: Arc<AoaSpectrum>,
 }
 
 /// One admitted localize request traveling through the stage queues.
 struct Job {
-    obs: Vec<SessionObs>,
+    /// The key's store snapshot, in ascending AP order. Spectra ride
+    /// behind an `Arc`, so a submit racing this request replaces the
+    /// store's pointer whole and never touches these bins.
+    obs: Vec<KeyedObs>,
     /// Absolute expiry (frame receipt + the client's relative budget).
     deadline: Option<Instant>,
     /// When the request entered the admission queue (queue-dwell metric).
@@ -213,7 +211,7 @@ pub struct StatsSnapshot {
     pub sessions_evicted_cap: u64,
     /// Raw (`f64`-bin) spectrum submissions admitted.
     pub submits_raw: u64,
-    /// Compressed (v3) spectrum submissions admitted.
+    /// Compressed spectrum submissions admitted.
     pub submits_compressed: u64,
     /// Wire bytes of the raw submissions (header + payload).
     pub uplink_raw_bytes: u64,
@@ -237,10 +235,11 @@ pub struct StatsSnapshot {
 /// deterministic replay; implementations must be cheap and must never
 /// panic — they run on the serving path.
 ///
-/// Only the keyed multi-process path is tapped ([`Frame::SubmitKeyed`],
-/// [`Frame::LocalizeKey`], [`Frame::ReportFailure`], and the reaper's
-/// tick/idle events); legacy v1 per-connection sessions live and die with
-/// their socket and are not recordable.
+/// Every store-mutating path is tapped ([`Frame::SubmitKeyed`] and
+/// [`Frame::SubmitCompressedKeyed`], [`Frame::LocalizeKey`],
+/// [`Frame::ReportFailure`], the reaper's tick/idle events, and topology
+/// epochs): the keyed store is the server's only session model, so every
+/// fix the server answers can be replayed.
 pub trait RecordTap: Send + Sync {
     /// A keyed spectrum was admitted (about to enter the session store).
     fn submit(&self, key: ClientKey, ap_id: u32, age: u64, spectrum: &AoaSpectrum);
@@ -324,7 +323,8 @@ pub fn spawn_recorded(
     addr: impl ToSocketAddrs,
     tap: Option<Arc<dyn RecordTap>>,
 ) -> io::Result<ServerHandle> {
-    cfg.validate();
+    cfg.validate()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     // Every sizing decision below — engine, health tracker, session
     // store — derives from this one canonical config, so the three can
     // never disagree about the AP count, and the epoch-0 fingerprint
@@ -397,17 +397,16 @@ pub fn spawn_recorded(
         .collect::<io::Result<Vec<_>>>()?;
 
     let accept_stop = Arc::new(AtomicBool::new(false));
-    let conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::default();
-    let conn_socks: Arc<Mutex<Vec<TcpStream>>> = Arc::default();
+    let conns: Arc<Mutex<ConnRegistry>> = Arc::default();
     let acceptor = {
         let shared = Arc::clone(&shared);
         let admission = Arc::clone(&admission);
         let accept_stop = Arc::clone(&accept_stop);
-        let conn_threads = Arc::clone(&conn_threads);
-        let conn_socks = Arc::clone(&conn_socks);
+        let conns = Arc::clone(&conns);
         thread::Builder::new()
             .name("at-serve-acceptor".into())
             .spawn(move || {
+                let mut next_id = 0u64;
                 for stream in listener.incoming() {
                     if accept_stop.load(Ordering::Acquire) {
                         break;
@@ -415,16 +414,26 @@ pub fn spawn_recorded(
                     let Ok(stream) = stream else { continue };
                     shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                     at_obs::count!("at_serve_connections_total");
-                    if let Ok(clone) = stream.try_clone() {
-                        conn_socks.lock().expect("registry poisoned").push(clone);
-                    }
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
+                    };
+                    let id = next_id;
+                    next_id += 1;
                     let shared = Arc::clone(&shared);
                     let admission = Arc::clone(&admission);
-                    if let Ok(handle) = thread::Builder::new()
-                        .name("at-serve-conn".into())
-                        .spawn(move || run_conn(stream, &shared, &admission))
+                    let registry = Arc::clone(&conns);
+                    // Held across spawn + insert: the thread's own removal
+                    // takes this lock, so it cannot run before the insert.
+                    let mut live = conns.lock().expect("registry poisoned");
+                    if let Ok(handle) =
+                        thread::Builder::new()
+                            .name("at-serve-conn".into())
+                            .spawn(move || {
+                                run_conn(stream, &shared, &admission);
+                                registry.lock().expect("registry poisoned").remove(&id);
+                            })
                     {
-                        conn_threads.lock().expect("registry poisoned").push(handle);
+                        live.insert(id, (clone, handle));
                     }
                 }
             })?
@@ -440,10 +449,16 @@ pub fn spawn_recorded(
         reaper: Some(reaper),
         reaper_stop,
         workers,
-        conn_threads,
-        conn_socks,
+        conns,
     })
 }
+
+/// The live connections, by acceptor-assigned id: a cloned socket (so
+/// shutdown can cut its read half) and the thread serving it. A
+/// connection thread removes its own entry as it exits, so the registry
+/// holds only live connections, never one fd per connection ever
+/// accepted.
+type ConnRegistry = HashMap<u64, (TcpStream, thread::JoinHandle<()>)>;
 
 /// Stop flag + wakeup for the background reaper thread.
 #[derive(Default)]
@@ -512,8 +527,7 @@ pub struct ServerHandle {
     reaper: Option<thread::JoinHandle<()>>,
     reaper_stop: Arc<ReaperStop>,
     workers: Vec<thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    conn_socks: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Arc<Mutex<ConnRegistry>>,
 }
 
 impl ServerHandle {
@@ -596,17 +610,19 @@ impl ServerHandle {
         //    admitted reply, but a connection thread may still be writing
         //    one to its socket — so cut only the read half: blocked
         //    readers wake with EOF and exit their loop, while in-flight
-        //    reply writes complete.
-        for sock in self.conn_socks.lock().expect("registry poisoned").drain(..) {
-            let _ = sock.shutdown(std::net::Shutdown::Read);
-        }
-        let handles: Vec<_> = self
-            .conn_threads
+        //    reply writes complete. Join outside the lock: exiting
+        //    threads take it to remove their own entries.
+        let live: Vec<_> = self
+            .conns
             .lock()
             .expect("registry poisoned")
-            .drain(..)
+            .drain()
+            .map(|(_, conn)| conn)
             .collect();
-        for h in handles {
+        for (sock, _) in &live {
+            let _ = sock.shutdown(std::net::Shutdown::Read);
+        }
+        for (_, h) in live {
             let _ = h.join();
         }
     }
@@ -637,9 +653,9 @@ pub mod errcode {
     pub const BAD_CONFIG: u8 = 4;
 }
 
-/// What a connection has declared itself to be. The first keyed frame
-/// types the connection; legacy (v1) frames are role-neutral and leave it
-/// untyped.
+/// What a connection has declared itself to be. The first submit or
+/// localize types the connection; role-neutral frames (ping, failure
+/// reports, metrics, topology) leave it untyped.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Role {
     /// No keyed frame seen yet.
@@ -664,11 +680,9 @@ fn role_mismatch(wanted: &str, got: &str) -> Frame {
 /// the frame is normalized into its raw twin, because the mode is gone
 /// after that.
 fn account_uplink(shared: &Shared, frame: &Frame, wire_bytes: usize) {
-    let (mode, bins, keyed) = match frame {
-        Frame::SubmitSpectrum { spectrum, .. } => (None, spectrum.bins(), false),
-        Frame::SubmitKeyed { spectrum, .. } => (None, spectrum.bins(), true),
-        Frame::SubmitCompressed { mode, spectrum, .. } => (Some(*mode), spectrum.bins(), false),
-        Frame::SubmitCompressedKeyed { mode, spectrum, .. } => (Some(*mode), spectrum.bins(), true),
+    let (mode, bins) = match frame {
+        Frame::SubmitKeyed { spectrum, .. } => (None, spectrum.bins()),
+        Frame::SubmitCompressedKeyed { mode, spectrum, .. } => (Some(*mode), spectrum.bins()),
         _ => return,
     };
     let wire = wire_bytes as u64;
@@ -687,10 +701,9 @@ fn account_uplink(shared: &Shared, frame: &Frame, wire_bytes: usize) {
                 .add(wire);
         }
         Some(mode) => {
-            // The raw twin of this frame: header + fixed fields + the
+            // The raw twin of this frame: header + key + ap_id + age + the
             // `u32` bin count + 8 bytes per bin.
-            let fixed = if keyed { 8 + 4 + 8 } else { 4 + 8 };
-            let raw_equiv = HEADER_LEN as u64 + fixed + codec::raw_wire_bytes(bins);
+            let raw_equiv = (HEADER_LEN + 8 + 4 + 8) as u64 + codec::raw_wire_bytes(bins);
             let label = mode.encoding().label();
             let s = &shared.stats;
             s.submits_compressed.fetch_add(1, Ordering::Relaxed);
@@ -717,27 +730,16 @@ fn account_uplink(shared: &Shared, frame: &Frame, wire_bytes: usize) {
 }
 
 fn run_conn(mut stream: TcpStream, shared: &Shared, admission: &Bounded<Job>) {
-    let mut session: Vec<SessionObs> = Vec::new();
     let mut role = Role::Untyped;
     loop {
         let frame = match proto::read_frame_counted(&mut stream) {
             Ok(Some((f, wire_bytes))) => {
                 account_uplink(shared, &f, wire_bytes);
                 // A compressed submission, once decompressed and
-                // accounted, is *exactly* its raw twin: same session
-                // semantics, same role typing, same store path — the
-                // codec is invisible past admission.
+                // accounted, is *exactly* its raw twin: same role typing,
+                // same tap record, same store path — the codec is
+                // invisible past admission.
                 match f {
-                    Frame::SubmitCompressed {
-                        ap_id,
-                        age,
-                        spectrum,
-                        ..
-                    } => Frame::SubmitSpectrum {
-                        ap_id,
-                        age,
-                        spectrum,
-                    },
                     Frame::SubmitCompressedKeyed {
                         key,
                         ap_id,
@@ -768,37 +770,6 @@ fn run_conn(mut stream: TcpStream, shared: &Shared, admission: &Bounded<Job>) {
             }
         };
         let response = match frame {
-            Frame::SubmitSpectrum {
-                ap_id,
-                age,
-                spectrum,
-            } => {
-                // Validate against the *current* epoch's AP set; the
-                // guard keeps the check and the health report on the
-                // same side of any concurrent reconfiguration.
-                let topo = shared.topo.read().expect("topo poisoned");
-                let n_aps = topo.config.n_aps();
-                if (ap_id as usize) >= n_aps {
-                    Frame::ProtocolError {
-                        code: errcode::BAD_AP,
-                        message: format!("ap {ap_id} out of range (deployment has {n_aps})"),
-                    }
-                } else {
-                    shared
-                        .health
-                        .lock()
-                        .expect("health poisoned")
-                        .report_success(ap_id as usize);
-                    session.push(SessionObs {
-                        ap_id,
-                        age,
-                        spectrum: Arc::new(spectrum),
-                    });
-                    Frame::SubmitAck {
-                        observations: session.len() as u32,
-                    }
-                }
-            }
             Frame::SubmitKeyed {
                 key,
                 ap_id,
@@ -847,7 +818,7 @@ fn run_conn(mut stream: TcpStream, shared: &Shared, admission: &Bounded<Job>) {
                     // An unknown (never-submitted or evicted) key fuses an
                     // empty observation set: the normal path answers with
                     // the typed `NoObservations` error.
-                    handle_localize(shared, admission, LocalizeSource::Keyed(key), deadline_ms)
+                    handle_localize(shared, admission, key, deadline_ms)
                 }
             }
             Frame::ReportFailure { ap_id } => {
@@ -867,14 +838,8 @@ fn run_conn(mut stream: TcpStream, shared: &Shared, admission: &Bounded<Job>) {
                         .lock()
                         .expect("health poisoned")
                         .report_failure(ap_id as usize);
-                    Frame::SubmitAck {
-                        observations: session.len() as u32,
-                    }
+                    Frame::SubmitAck { observations: 0 }
                 }
-            }
-            Frame::ClearSession => {
-                session.clear();
-                Frame::SubmitAck { observations: 0 }
             }
             Frame::Ping { token } => Frame::Pong { token },
             // Read-only and role-neutral: ops scrape from whatever
@@ -891,12 +856,6 @@ fn run_conn(mut stream: TcpStream, shared: &Shared, admission: &Bounded<Job>) {
                 }
             }
             Frame::Reconfigure { op } => handle_reconfigure(shared, op),
-            Frame::Localize { deadline_ms } => handle_localize(
-                shared,
-                admission,
-                LocalizeSource::Legacy(session.clone()),
-                deadline_ms,
-            ),
             // Response-type frames are never valid requests.
             _ => Frame::ProtocolError {
                 code: errcode::NOT_A_REQUEST,
@@ -907,34 +866,6 @@ fn run_conn(mut stream: TcpStream, shared: &Shared, admission: &Bounded<Job>) {
             return;
         }
     }
-}
-
-/// Snapshots the store's resident spectra for `key` as session
-/// observations, in ascending AP order (the order the in-process
-/// reference adds them, which bit-exact parity requires).
-fn keyed_obs(shared: &Shared, key: ClientKey) -> Vec<SessionObs> {
-    shared
-        .store
-        .snapshot(key)
-        .map(|snap| {
-            snap.into_iter()
-                .map(|o| SessionObs {
-                    ap_id: o.ap_id,
-                    age: o.age,
-                    spectrum: o.spectrum,
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Where a localize request's observations come from: a legacy (v1)
-/// connection's private session, or the keyed store (snapshotted *under
-/// the topo read guard*, together with the journal record, so the
-/// snapshot and the journal agree about which epoch the query saw).
-enum LocalizeSource {
-    Legacy(Vec<SessionObs>),
-    Keyed(ClientKey),
 }
 
 fn shed(shared: &Shared) -> Frame {
@@ -952,7 +883,7 @@ fn shed(shared: &Shared) -> Frame {
 fn handle_localize(
     shared: &Shared,
     admission: &Bounded<Job>,
-    source: LocalizeSource,
+    key: ClientKey,
     deadline_ms: u32,
 ) -> Frame {
     let _t = at_obs::time_stage!(at_obs::stages::SERVE_REQUEST);
@@ -980,15 +911,9 @@ fn handle_localize(
             // The flag rose between the check above and the guard.
             None
         } else {
-            let (obs, query_seq) = match source {
-                LocalizeSource::Legacy(obs) => (obs, None),
-                LocalizeSource::Keyed(key) => {
-                    let seq = shared.tap.as_ref().map(|t| t.query(key, deadline_ms));
-                    (keyed_obs(shared, key), seq)
-                }
-            };
+            let query_seq = shared.tap.as_ref().map(|t| t.query(key, deadline_ms));
             let job = Job {
-                obs,
+                obs: shared.store.snapshot(key).unwrap_or_default(),
                 deadline,
                 enqueued: Instant::now(),
                 reply: reply_tx,
@@ -1132,9 +1057,8 @@ fn run_batcher(
 }
 
 fn run_worker(exec: &Bounded<Vec<Job>>, shared: &Shared) {
-    // Reused batch after batch; together with the engine's per-thread
-    // fusion scratch this makes a warm worker's sweep allocation-free.
-    let mut results: Vec<Result<LocationEstimate, at_core::LocalizeError>> = Vec::new();
+    // Reused job after job: a warm worker's engine sweep allocates nothing.
+    let mut scratch = FusionScratch::new();
     while let Some(batch) = exec.pop() {
         let _t = at_obs::time_stage!(
             at_obs::stages::SERVE_BATCH,
@@ -1160,27 +1084,19 @@ fn run_worker(exec: &Bounded<Vec<Job>>, shared: &Shared) {
         // One health snapshot per batch: every request of a batch is
         // judged under the same deployment state.
         let health = shared.health.lock().expect("health poisoned").clone();
-        let fused: Vec<Vec<FusedObservation<'_>>> = live
-            .iter()
-            .map(|job| {
-                job.obs
-                    .iter()
-                    .map(|o| FusedObservation {
-                        pose_idx: o.ap_id as usize,
-                        spectrum: &o.spectrum,
-                        ap_id: Some(o.ap_id as usize),
-                        age: o.age,
-                    })
-                    .collect()
-            })
-            .collect();
-        let queries: Vec<&[FusedObservation<'_>]> = fused.iter().map(Vec::as_slice).collect();
-        // Workers are the parallelism; each sweep runs single-threaded.
-        at_core::fuse_batch_into(&engine, &queries, &health, &policy, 1, &mut results);
-        drop(queries);
-        drop(fused);
-        for (job, result) in live.iter().zip(results.drain(..)) {
-            let frame = match result {
+        for job in &live {
+            let fused: Vec<FusedObservation<'_>> = job
+                .obs
+                .iter()
+                .map(|o| FusedObservation {
+                    pose_idx: o.ap_id as usize,
+                    spectrum: &o.spectrum,
+                    ap_id: Some(o.ap_id as usize),
+                    age: o.age,
+                })
+                .collect();
+            // Workers are the parallelism; each fusion runs on this thread.
+            let frame = match at_core::fuse(&engine, &fused, &health, &policy, &mut scratch) {
                 Ok(estimate) => {
                     shared.stats.fixes.fetch_add(1, Ordering::Relaxed);
                     at_obs::count!("at_serve_responses_total", "result" => "fix");
@@ -1202,7 +1118,7 @@ fn run_worker(exec: &Bounded<Vec<Job>>, shared: &Shared) {
 fn fix_frame(
     policy: &HealthPolicy,
     health: &HealthTracker,
-    obs: &[SessionObs],
+    obs: &[KeyedObs],
     estimate: LocationEstimate,
 ) -> Frame {
     let mut ap_ids: Vec<u32> = obs.iter().map(|o| o.ap_id).collect();

@@ -1,12 +1,13 @@
-//! Property tests for the v3 spectrum codec: the decompressor is total
+//! Property tests for the spectrum codec: the decompressor is total
 //! (arbitrary bytes yield a typed error or a valid spectrum, never a
 //! panic), lossless mode is bit-exact, quantized mode honours its
-//! published error bound across the whole dynamic range, and compressed
-//! frames are version-gated exactly like the other v2+/v3 frame types.
+//! published error bound across the whole dynamic range, compressed
+//! frames round-trip in both modes, and the retired unkeyed compressed
+//! frame type stays retired.
 
 use at_core::AoaSpectrum;
 use at_serve::codec::{self, CompressedMode, DYNAMIC_RANGE_NATS, MAX_RELATIVE_ERROR};
-use at_serve::proto::{decode, DecodeError, Frame, HEADER_LEN, MAGIC, MIN_VERSION};
+use at_serve::proto::{decode, DecodeError, Frame, HEADER_LEN, MAGIC};
 use proptest::prelude::*;
 
 /// A deterministic seed-scrambled spectrum spanning `10^-span … 1` around
@@ -138,45 +139,55 @@ proptest! {
         prop_assert_eq!(codec::compress(&decoded, CompressedMode::Quantized), blob);
     }
 
-    /// Compressed frames under pre-v3 headers fail with the typed
-    /// `VersionGated` error — never misparsed, never accepted.
+    /// `SubmitCompressedKeyed` round-trips bit-exactly in both modes:
+    /// any spectrum losslessly, and a grid-snapped spectrum quantized
+    /// (quantization is idempotent, so the decoded frame equals the one
+    /// that was encoded).
     #[test]
-    fn compressed_frames_under_old_versions_fail_typed(
+    fn compressed_frames_roundtrip_bit_exact(
         key in 0u64..u64::MAX,
         ap_id in 0u32..64,
         age in 0u64..100,
         seed in 0u64..u64::MAX,
-        old_version_pick in 0u8..2,
-        keyed_pick in 0u8..2,
+        quantized_pick in 0u8..2,
     ) {
         let spectrum = scrambled_spectrum(64, seed, 6.0);
-        let frame = if keyed_pick == 1 {
-            Frame::SubmitCompressedKeyed {
-                key,
-                ap_id,
-                age,
-                mode: CompressedMode::Quantized,
-                spectrum,
-            }
+        let (mode, spectrum) = if quantized_pick == 1 {
+            (CompressedMode::Quantized, codec::quantized(&spectrum))
         } else {
-            Frame::SubmitCompressed {
-                ap_id,
-                age,
-                mode: CompressedMode::Lossless,
-                spectrum,
-            }
+            (CompressedMode::Lossless, spectrum)
         };
-        let mut bytes = frame.encode();
-        prop_assert_eq!(bytes[2], 3, "compressed frames declare v3 on the wire");
-        let old = MIN_VERSION + old_version_pick; // v1 or v2
-        bytes[2] = old;
-        match decode(&bytes) {
-            Err(DecodeError::VersionGated { got, need, .. }) => {
-                prop_assert_eq!(got, old);
-                prop_assert_eq!(need, 3);
-            }
-            other => prop_assert!(false, "wanted VersionGated, got {:?}", other),
-        }
+        let frame = Frame::SubmitCompressedKeyed { key, ap_id, age, mode, spectrum };
+        let bytes = frame.encode();
+        let (decoded, used) = decode(&bytes)
+            .expect("own encoding must decode")
+            .expect("own encoding is complete");
+        prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!(&decoded, &frame);
+    }
+
+    /// A well-formed compressed payload under the retired unkeyed type
+    /// byte (0x08) is `UnknownType` — the blob is never parsed.
+    #[test]
+    fn retired_unkeyed_compressed_type_is_unknown(
+        ap_id in 0u32..64,
+        age in 0u64..100,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&ap_id.to_le_bytes());
+        payload.extend_from_slice(&age.to_le_bytes());
+        codec::compress_into(
+            &mut payload,
+            &scrambled_spectrum(64, seed, 6.0),
+            CompressedMode::Lossless,
+        );
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(at_serve::proto::VERSION);
+        bytes.push(0x08);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        prop_assert_eq!(decode(&bytes), Err(DecodeError::UnknownType { got: 0x08 }));
     }
 
     /// A compressed frame whose payload bytes are scrambled never panics
@@ -188,7 +199,8 @@ proptest! {
         flip_frac in 0.0f64..1.0,
         flip_bit in 0u8..8,
     ) {
-        let frame = Frame::SubmitCompressed {
+        let frame = Frame::SubmitCompressedKeyed {
+            key: 5,
             ap_id: 3,
             age: 1,
             mode: CompressedMode::Quantized,

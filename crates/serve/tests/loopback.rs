@@ -1,12 +1,20 @@
 //! End-to-end loopback tests of the location server: bit-exact parity
 //! with the in-process `ArrayTrackServer`, health/error semantics over
-//! the wire, load shedding, deadline enforcement, and graceful drain.
+//! the wire, load shedding, deadline enforcement, graceful drain, and
+//! typed refusal of bad runtime configs. Every session is keyed: a test
+//! picks an unused `ClientKey`, submits through an `ApClient`, and
+//! localizes through an `AppClient`.
 
 use at_channel::geometry::{pt, Point};
+use at_config::ConfigError;
 use at_core::health::{ApStatus, HealthPolicy, LocalizeError};
 use at_core::synthesis::{ApPose, SearchRegion};
 use at_core::{AoaSpectrum, ArrayTrackServer};
-use at_serve::{spawn, BatchPolicy, Client, ClientConfig, ClientError, ServeConfig, ServiceConfig};
+use at_serve::{
+    spawn, AdaptivePolicy, ApClient, AppClient, BatchPolicy, Client, ClientConfig, ClientError,
+    ServeConfig, ServiceConfig,
+};
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -60,8 +68,12 @@ fn service(policy: HealthPolicy) -> ServiceConfig {
     }
 }
 
-fn client(addr: std::net::SocketAddr) -> Client {
-    Client::connect(addr, ClientConfig::default()).expect("connect")
+fn ingest(addr: std::net::SocketAddr) -> ApClient {
+    ApClient::connect(addr, ClientConfig::default()).expect("ap connect")
+}
+
+fn app(addr: std::net::SocketAddr) -> AppClient {
+    AppClient::connect(addr, ClientConfig::default()).expect("app connect")
 }
 
 #[test]
@@ -79,15 +91,15 @@ fn networked_fix_is_bit_exact_with_in_process_server() {
     // deployment-wide engine and the observation-built engine agree
     // bit-for-bit.
     let mut reference = ArrayTrackServer::new(region());
-    let mut c = client(server.addr());
-    for ap in 0..poses().len() {
-        let spectrum = lobe_spectrum(ap, target);
-        reference.add_observation_from(ap, poses()[ap], spectrum.clone(), 0);
-        let n = c.submit(ap as u32, 0, &spectrum).expect("submit");
-        assert_eq!(n as usize, ap + 1);
+    let (mut ap, mut app) = (ingest(server.addr()), app(server.addr()));
+    for i in 0..poses().len() {
+        let spectrum = lobe_spectrum(i, target);
+        reference.add_observation_from(i, poses()[i], spectrum.clone(), 0);
+        let n = ap.submit(1, i as u32, 0, &spectrum).expect("submit");
+        assert_eq!(n as usize, i + 1);
     }
     let expected = reference.try_localize().expect("reference fix");
-    let fix = c.localize(None).expect("networked fix");
+    let fix = app.localize(1, None).expect("networked fix");
     assert_eq!(fix.position.x.to_bits(), expected.position.x.to_bits());
     assert_eq!(fix.position.y.to_bits(), expected.position.y.to_bits());
     assert_eq!(fix.likelihood.to_bits(), expected.likelihood.to_bits());
@@ -98,16 +110,16 @@ fn networked_fix_is_bit_exact_with_in_process_server() {
         .iter()
         .all(|h| h.status == ApStatus::Healthy && h.consecutive_failures == 0));
 
-    // A subset session (APs 0 and 2) also matches a subset-built server.
+    // A subset session (APs 0 and 2, under a fresh key) also matches a
+    // subset-built server.
     let mut subset_ref = ArrayTrackServer::new(region());
-    c.clear().expect("clear");
-    for ap in [0usize, 2] {
-        let spectrum = lobe_spectrum(ap, target);
-        subset_ref.add_observation_from(ap, poses()[ap], spectrum.clone(), 0);
-        c.submit(ap as u32, 0, &spectrum).expect("submit");
+    for i in [0usize, 2] {
+        let spectrum = lobe_spectrum(i, target);
+        subset_ref.add_observation_from(i, poses()[i], spectrum.clone(), 0);
+        ap.submit(2, i as u32, 0, &spectrum).expect("submit");
     }
     let expected = subset_ref.try_localize().expect("subset fix");
-    let fix = c.localize(None).expect("networked subset fix");
+    let fix = app.localize(2, None).expect("networked subset fix");
     assert_eq!(fix.position.x.to_bits(), expected.position.x.to_bits());
     assert_eq!(fix.position.y.to_bits(), expected.position.y.to_bits());
     assert_eq!(fix.likelihood.to_bits(), expected.likelihood.to_bits());
@@ -126,16 +138,18 @@ fn degraded_deployment_keeps_typed_semantics_over_the_wire() {
     };
     let server = spawn(service(policy), ServeConfig::default(), "127.0.0.1:0").expect("spawn");
     let mut reference = ArrayTrackServer::new(region()).with_policy(policy);
-    let mut c = client(server.addr());
+    let (mut ap, mut app) = (ingest(server.addr()), app(server.addr()));
 
     // A stale AP 1 leaves only one usable observation: quorum not met,
     // with the exact counts the in-process server reports.
     reference.add_observation_from(0, poses()[0], lobe_spectrum(0, target), 0);
     reference.add_observation_from(1, poses()[1], lobe_spectrum(1, target), 10);
-    c.submit(0, 0, &lobe_spectrum(0, target)).expect("submit");
-    c.submit(1, 10, &lobe_spectrum(1, target)).expect("submit");
+    ap.submit(1, 0, 0, &lobe_spectrum(0, target))
+        .expect("submit");
+    ap.submit(1, 1, 10, &lobe_spectrum(1, target))
+        .expect("submit");
     let expected = reference.try_localize().expect_err("stale quorum");
-    match c.localize(None) {
+    match app.localize(1, None) {
         Err(ClientError::Localize(e)) => assert_eq!(e, expected),
         other => panic!("wanted the reference LocalizeError, got {other:?}"),
     }
@@ -153,18 +167,17 @@ fn degraded_deployment_keeps_typed_semantics_over_the_wire() {
     // Failures after submission degrade AP 1: the fix is tempered the
     // same way in-process and its health report says degraded.
     reference.clear();
-    c.clear().expect("clear");
-    for ap in 0..2 {
-        reference.add_observation_from(ap, poses()[ap], lobe_spectrum(ap, target), 0);
-        c.submit(ap as u32, 0, &lobe_spectrum(ap, target))
+    for i in 0..2 {
+        reference.add_observation_from(i, poses()[i], lobe_spectrum(i, target), 0);
+        ap.submit(2, i as u32, 0, &lobe_spectrum(i, target))
             .expect("submit");
     }
     for _ in 0..2 {
         reference.report_acquisition_failure(1);
-        c.report_failure(1).expect("report");
+        ap.report_failure(1).expect("report");
     }
     let expected = reference.try_localize().expect("degraded fix");
-    let fix = c.localize(None).expect("networked degraded fix");
+    let fix = app.localize(2, None).expect("networked degraded fix");
     assert_eq!(fix.position.x.to_bits(), expected.position.x.to_bits());
     assert_eq!(fix.position.y.to_bits(), expected.position.y.to_bits());
     assert_eq!(fix.likelihood.to_bits(), expected.likelihood.to_bits());
@@ -172,9 +185,9 @@ fn degraded_deployment_keeps_typed_semantics_over_the_wire() {
     assert_eq!(ap1.status, ApStatus::Degraded);
     assert_eq!(ap1.consecutive_failures, 2);
 
-    // An empty session fails with NoObservations, typed, over the wire.
-    c.clear().expect("clear");
-    match c.localize(None) {
+    // A key nobody submitted for fails with NoObservations, typed, over
+    // the wire.
+    match app.localize(3, None) {
         Err(ClientError::Localize(LocalizeError::NoObservations)) => {}
         other => panic!("wanted NoObservations, got {other:?}"),
     }
@@ -203,8 +216,8 @@ fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
 
     let fixes = Arc::new(AtomicUsize::new(0));
     let sheds = Arc::new(AtomicUsize::new(0));
-    let handles: Vec<_> = (0..32)
-        .map(|_| {
+    let handles: Vec<_> = (0..32u64)
+        .map(|key| {
             let fixes = Arc::clone(&fixes);
             let sheds = Arc::clone(&sheds);
             thread::spawn(move || {
@@ -213,13 +226,14 @@ fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
                     max_attempts: 1,
                     ..ClientConfig::default()
                 };
-                let mut c = Client::connect(addr, cfg).expect("connect");
-                for ap in 0..4u32 {
-                    c.submit(ap, 0, &lobe_spectrum(ap as usize, target))
+                let mut ap = ApClient::connect(addr, cfg).expect("ap connect");
+                for i in 0..4u32 {
+                    ap.submit(key, i, 0, &lobe_spectrum(i as usize, target))
                         .expect("submit");
                 }
+                let mut app = AppClient::connect(addr, cfg).expect("app connect");
                 for _ in 0..4 {
-                    match c.localize(None) {
+                    match app.localize(key, None) {
                         Ok(_) => fixes.fetch_add(1, Ordering::Relaxed),
                         Err(ClientError::Overloaded { .. }) => {
                             sheds.fetch_add(1, Ordering::Relaxed)
@@ -241,10 +255,11 @@ fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
     assert!(shed > 0, "offered load beyond capacity must shed");
 
     // The server is still fully responsive after the storm.
-    let mut c = client(addr);
-    c.ping(42).expect("ping after overload");
-    c.submit(0, 0, &lobe_spectrum(0, target)).expect("submit");
-    c.localize(None).expect("fix after overload");
+    let (mut ap, mut app) = (ingest(addr), app(addr));
+    app.ping(42).expect("ping after overload");
+    ap.submit(100, 0, 0, &lobe_spectrum(0, target))
+        .expect("submit");
+    app.localize(100, None).expect("fix after overload");
 
     let stats = server.shutdown();
     assert_eq!(stats.shed, shed as u64);
@@ -264,15 +279,15 @@ fn queued_past_deadline_requests_are_dropped_before_fusion() {
         ..ServeConfig::default()
     };
     let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
-    let mut c = client(server.addr());
-    c.submit(0, 0, &lobe_spectrum(0, pt(5.0, 5.0)))
+    let (mut ap, mut app) = (ingest(server.addr()), app(server.addr()));
+    ap.submit(1, 0, 0, &lobe_spectrum(0, pt(5.0, 5.0)))
         .expect("submit");
-    match c.localize(Some(Duration::from_millis(5))) {
+    match app.localize(1, Some(Duration::from_millis(5))) {
         Err(ClientError::DeadlineExceeded) => {}
         other => panic!("wanted DeadlineExceeded, got {other:?}"),
     }
     // Without a deadline the same session localizes fine.
-    c.localize(None).expect("fix without deadline");
+    app.localize(1, None).expect("fix without deadline");
     let stats = server.shutdown();
     assert_eq!(stats.deadline_missed, 1);
     assert_eq!(stats.fixes, 1);
@@ -295,12 +310,12 @@ fn shutdown_drains_in_flight_requests_then_refuses_new_ones() {
     let addr = server.addr();
 
     let in_flight = thread::spawn(move || {
-        let mut c = Client::connect(addr, ClientConfig::default()).expect("connect");
-        for ap in 0..4u32 {
-            c.submit(ap, 0, &lobe_spectrum(ap as usize, target))
+        let mut ap = ingest(addr);
+        for i in 0..4u32 {
+            ap.submit(1, i, 0, &lobe_spectrum(i as usize, target))
                 .expect("submit");
         }
-        c.localize(None)
+        app(addr).localize(1, None)
     });
     // Let the request get admitted, then pull the plug mid-batch-window.
     thread::sleep(Duration::from_millis(80));
@@ -333,9 +348,9 @@ fn metrics_query_returns_a_prometheus_snapshot_on_any_role() {
     )
     .expect("spawn");
 
-    // An untyped (role-neutral) session can scrape without ever
+    // An untyped (role-neutral) connection can scrape without ever
     // submitting or localizing.
-    let mut c = client(server.addr());
+    let mut c = Client::connect(server.addr(), ClientConfig::default()).expect("connect");
     let text = c.metrics().expect("metrics");
     assert!(
         text.contains("at_serve_connections_total"),
@@ -344,18 +359,114 @@ fn metrics_query_returns_a_prometheus_snapshot_on_any_role() {
     );
     assert!(text.contains("# TYPE"), "not Prometheus text format");
 
-    // The scrape is read-only: the same session still takes the App
-    // role afterwards and gets the usual typed refusal on an empty
-    // session, and both typed roles can scrape too.
+    // The scrape is read-only: an app connection that scraped first still
+    // takes the App role afterwards and gets the usual typed refusal for
+    // an unknown key, and both typed roles can scrape too.
+    let mut app = app(server.addr());
+    assert!(app.metrics().expect("app metrics").contains("at_serve"));
     assert!(matches!(
-        c.localize(None),
+        app.localize(7, None),
         Err(ClientError::Localize(LocalizeError::NoObservations))
     ));
-    let mut ap =
-        at_serve::ApClient::connect(server.addr(), ClientConfig::default()).expect("ap connect");
-    assert!(ap.metrics().expect("ap metrics").contains("at_serve"));
-    let mut app =
-        at_serve::AppClient::connect(server.addr(), ClientConfig::default()).expect("app connect");
-    assert!(app.metrics().expect("app metrics").contains("at_serve"));
+    assert!(app
+        .metrics()
+        .expect("typed app metrics")
+        .contains("at_serve"));
+    assert!(ingest(server.addr())
+        .metrics()
+        .expect("ap metrics")
+        .contains("at_serve"));
     server.shutdown();
+}
+
+/// Spawning with `cfg` must fail with `InvalidInput` — never a panic —
+/// and `ServeConfig::validate` must say why with a typed error.
+fn assert_refused(cfg: ServeConfig, why: &str) {
+    match cfg.validate() {
+        Err(ConfigError::Serve(reason)) => assert!(reason.contains(why), "{reason}"),
+        other => panic!("wanted ConfigError::Serve({why:?}), got {other:?}"),
+    }
+    match spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0") {
+        Err(e) => {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert!(e.to_string().contains(why), "{e}");
+        }
+        Ok(_) => panic!("a server spawned on a bad config"),
+    }
+}
+
+#[test]
+fn zero_workers_is_refused_typed() {
+    assert_refused(
+        ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        },
+        "worker",
+    );
+}
+
+#[test]
+fn zero_admission_depth_is_refused_typed() {
+    assert_refused(
+        ServeConfig {
+            admission_depth: 0,
+            ..ServeConfig::default()
+        },
+        "queue depths",
+    );
+}
+
+#[test]
+fn zero_exec_depth_is_refused_typed() {
+    assert_refused(
+        ServeConfig {
+            exec_depth: 0,
+            ..ServeConfig::default()
+        },
+        "queue depths",
+    );
+}
+
+#[test]
+fn zero_max_batch_is_refused_typed() {
+    assert_refused(
+        ServeConfig {
+            batch: BatchPolicy {
+                max_batch: 0,
+                ..BatchPolicy::default()
+            },
+            ..ServeConfig::default()
+        },
+        "at least one request",
+    );
+}
+
+#[test]
+fn inverted_adaptive_window_is_refused_typed() {
+    assert_refused(
+        ServeConfig {
+            adaptive: Some(AdaptivePolicy {
+                min_window: Duration::from_millis(5),
+                max_window: Duration::from_millis(1),
+                ..AdaptivePolicy::default()
+            }),
+            ..ServeConfig::default()
+        },
+        "inverted",
+    );
+}
+
+#[test]
+fn zero_connect_attempts_is_refused_typed() {
+    // Refused before dialing: no listener is needed at the address.
+    let cfg = ClientConfig {
+        max_attempts: 0,
+        ..ClientConfig::default()
+    };
+    match Client::connect("127.0.0.1:9", cfg) {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+        Err(other) => panic!("wanted an InvalidInput I/O error, got {other}"),
+        Ok(_) => panic!("connected with zero attempts"),
+    }
 }

@@ -1,4 +1,4 @@
-//! Property tests for the topology-epoch machinery: the v5 `Reconfigure`
+//! Property tests for the topology-epoch machinery: the `Reconfigure`
 //! decoder is total (never panics, for any payload bytes), topology
 //! frames round-trip bit-exactly, and arbitrary op sequences — valid or
 //! not — never panic `SystemConfig::apply` or the session store's remap,
@@ -57,7 +57,7 @@ fn flat_spectrum() -> Arc<AoaSpectrum> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A v5 `Reconfigure` frame with arbitrary payload bytes never
+    /// A `Reconfigure` frame with arbitrary payload bytes never
     /// panics the decoder: it decodes, asks for more, or fails typed.
     #[test]
     fn reconfigure_payloads_never_panic_decoder(

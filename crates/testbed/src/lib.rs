@@ -47,7 +47,5 @@ pub use experiments::{
 };
 pub use metrics::ErrorStats;
 pub use replay::{record_golden, GOLDEN_SEED};
-pub use serve::{
-    ap_clients, serve_deployment, service_config, submit_position, submit_position_keyed,
-};
+pub use serve::{ap_clients, serve_deployment, service_config, submit_position_keyed};
 pub use stream::{run_stream, FixEvent, StreamClient, StreamConfig, StreamReport};

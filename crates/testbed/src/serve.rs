@@ -5,15 +5,15 @@
 //! a central service that clients query. This module wires the simulated
 //! office/lab deployments into that loop: build an [`at_serve`] service
 //! from a [`Deployment`]'s poses and floorplan bounds, capture spectra
-//! through the usual experiment path, and push them to the server through
-//! the wire protocol instead of in-process calls.
+//! through the usual experiment path, and push them to the server's keyed
+//! session store through the wire protocol instead of in-process calls.
 
 use crate::deployment::Deployment;
 use crate::experiments::{compute_spectrum, ExperimentConfig};
 use at_channel::geometry::Point;
 use at_core::health::HealthPolicy;
 use at_serve::{
-    ApClient, Client, ClientConfig, ClientError, ClientKey, Encoding, ServeConfig, ServerHandle,
+    ApClient, ClientConfig, ClientError, ClientKey, Encoding, ServeConfig, ServerHandle,
     ServiceConfig,
 };
 use rand::Rng;
@@ -43,25 +43,6 @@ pub fn serve_deployment(
     at_serve::spawn(service_config(dep, bins, policy), cfg, "127.0.0.1:0")
 }
 
-/// Captures a client transmission at every AP of `dep` (the full
-/// simulated radio + calibration + MUSIC path) and submits the processed
-/// spectra into `client`'s session over the wire. Returns the session's
-/// observation count after the last submission.
-pub fn submit_position<R: Rng>(
-    client: &mut Client,
-    dep: &Deployment,
-    position: Point,
-    cfg: &ExperimentConfig,
-    rng: &mut R,
-) -> Result<u32, ClientError> {
-    let mut observations = 0;
-    for ap in 0..dep.aps.len() {
-        let spectrum = compute_spectrum(dep, ap, position, cfg, rng);
-        observations = client.submit(ap as u32, 0, &spectrum)?;
-    }
-    Ok(observations)
-}
-
 /// Connects one ingestion connection per AP of the deployment — the
 /// paper's Figure 1 topology, where each of the (six, for the office) AP
 /// processes holds its own long-lived link to the aggregation server.
@@ -75,9 +56,8 @@ pub fn ap_clients(
     ap_clients_with(addr, n_aps, cfg, Encoding::Raw)
 }
 
-/// [`ap_clients`] with an explicit uplink [`Encoding`] policy — the
-/// protocol-v3 compressed wire forms with automatic raw fallback against
-/// pre-v3 servers.
+/// [`ap_clients`] with an explicit uplink [`Encoding`] policy — raw,
+/// quantized, or lossless-delta spectra on the wire.
 pub fn ap_clients_with(
     addr: SocketAddr,
     n_aps: usize,
@@ -89,11 +69,11 @@ pub fn ap_clients_with(
         .collect()
 }
 
-/// Captures a client transmission at every AP of `dep` and streams each
-/// processed spectrum through *that AP's own* ingestion connection,
-/// tagged with `key` — the multi-process equivalent of
-/// [`submit_position`]. Returns the key's resident spectrum count after
-/// the last submission.
+/// Captures a client transmission at every AP of `dep` (the full
+/// simulated radio + calibration + MUSIC path) and streams each processed
+/// spectrum through *that AP's own* ingestion connection, tagged with
+/// `key`. Returns the key's resident spectrum count after the last
+/// submission.
 pub fn submit_position_keyed<R: Rng>(
     aps: &mut [ApClient],
     key: ClientKey,
@@ -114,13 +94,14 @@ pub fn submit_position_keyed<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use at_serve::ClientConfig;
+    use at_serve::{AppClient, ClientConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// The full loop: simulated office capture → wire submission →
     /// batched server fusion → fix, accurate to within a couple of
-    /// meters despite multipath.
+    /// meters despite multipath. One ingestion connection carries every
+    /// AP's spectrum for a key nobody else uses — a private session.
     #[test]
     fn office_deployment_serves_a_client_over_the_wire() {
         let dep = Deployment::office(7);
@@ -135,11 +116,17 @@ mod tests {
 
         let truth = dep.clients[4];
         let mut rng = StdRng::seed_from_u64(99);
-        let mut client = Client::connect(server.addr(), ClientConfig::default()).expect("connect");
-        let n = submit_position(&mut client, &dep, truth, &cfg, &mut rng).expect("submit");
-        assert_eq!(n as usize, dep.aps.len());
+        let key: ClientKey = 4;
+        let mut ingest =
+            ApClient::connect(server.addr(), ClientConfig::default()).expect("connect");
+        for ap in 0..dep.aps.len() {
+            let spectrum = compute_spectrum(&dep, ap, truth, &cfg, &mut rng);
+            let n = ingest.submit(key, ap as u32, 0, &spectrum).expect("submit");
+            assert_eq!(n as usize, ap + 1);
+        }
 
-        let fix = client.localize(None).expect("fix");
+        let mut app = AppClient::connect(server.addr(), ClientConfig::default()).expect("connect");
+        let fix = app.localize(key, None).expect("fix");
         let err = fix.position.sub(truth).norm();
         assert!(err < 4.0, "office fix off by {err:.2} m");
         assert_eq!(fix.health.len(), dep.aps.len());
@@ -172,8 +159,7 @@ mod tests {
         let n = submit_position_keyed(&mut aps, key, &dep, truth, &cfg, &mut rng).expect("submit");
         assert_eq!(n as usize, dep.aps.len());
 
-        let mut app =
-            at_serve::AppClient::connect(server.addr(), ClientConfig::default()).expect("connect");
+        let mut app = AppClient::connect(server.addr(), ClientConfig::default()).expect("connect");
         let fix = app.localize(key, None).expect("fix");
         let err = fix.position.sub(truth).norm();
         assert!(err < 4.0, "keyed office fix off by {err:.2} m");
@@ -186,7 +172,7 @@ mod tests {
         assert_eq!(stats.spectra_resident as usize, dep.aps.len());
     }
 
-    /// The same Figure 1 topology over the protocol-v3 quantized uplink:
+    /// The same Figure 1 topology over the quantized uplink:
     /// real MUSIC pseudospectra (not synthetic lobes) survive 16-bit
     /// log-domain quantization with no loss of office-level accuracy, and
     /// the server's uplink accounting shows the frames genuinely shrank.
@@ -214,13 +200,8 @@ mod tests {
         let key: ClientKey = 11;
         let n = submit_position_keyed(&mut aps, key, &dep, truth, &cfg, &mut rng).expect("submit");
         assert_eq!(n as usize, dep.aps.len());
-        assert!(
-            aps.iter().all(|c| c.encoding() == Encoding::Quantized),
-            "no fallback against our own server"
-        );
 
-        let mut app =
-            at_serve::AppClient::connect(server.addr(), ClientConfig::default()).expect("connect");
+        let mut app = AppClient::connect(server.addr(), ClientConfig::default()).expect("connect");
         let fix = app.localize(key, None).expect("fix");
         let err = fix.position.sub(truth).norm();
         assert!(err < 4.0, "quantized office fix off by {err:.2} m");

@@ -6,17 +6,21 @@
 //! cargo run --release --example serve_demo
 //! ```
 //!
-//! Each "client" here is a session on the wire: the testbed captures the
-//! client's transmission at all six APs through the full radio +
-//! calibration + MUSIC path, submits the processed spectra into the
-//! session, and asks the server for a fix. The server batches concurrent
-//! requests into one engine sweep, enforces deadlines, and sheds load
-//! when its queues fill (none of that triggers here — three polite
+//! The demo runs the paper's Figure 1 topology: six AP processes, each
+//! with its own ingestion connection, and one application connection.
+//! For each "client" the testbed captures its transmission at all six
+//! APs through the full radio + calibration + MUSIC path, each AP streams
+//! its processed spectrum into the server's session store under the
+//! client's key, and the application asks the server for that key's fix.
+//! The server batches concurrent requests, enforces deadlines, and sheds
+//! load when its queues fill (none of that triggers here — three polite
 //! clients — but the loadgen bench exercises it; see `BENCH_SERVE.json`).
 
 use arraytrack::core::health::HealthPolicy;
-use arraytrack::serve::{Client, ClientConfig, ServeConfig};
-use arraytrack::testbed::{serve_deployment, submit_position, Deployment, ExperimentConfig};
+use arraytrack::serve::{AppClient, ClientConfig, ServeConfig};
+use arraytrack::testbed::{
+    ap_clients, serve_deployment, submit_position_keyed, Deployment, ExperimentConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -36,13 +40,16 @@ fn main() {
     println!("client |    truth (m)    |      fix (m)    |  error | RTT (ms) | AP health");
     println!("-------+-----------------+-----------------+--------+----------+----------");
 
+    let mut aps =
+        ap_clients(server.addr(), dep.aps.len(), ClientConfig::default()).expect("connect APs");
+    let mut app = AppClient::connect(server.addr(), ClientConfig::default()).expect("connect app");
     let mut rng = StdRng::seed_from_u64(7);
-    for (label, &truth) in [4usize, 17, 33].iter().enumerate() {
-        let truth = dep.clients[truth];
-        let mut client = Client::connect(server.addr(), ClientConfig::default()).expect("connect");
-        submit_position(&mut client, &dep, truth, &cfg, &mut rng).expect("submit spectra");
+    for (label, &client) in [4usize, 17, 33].iter().enumerate() {
+        let truth = dep.clients[client];
+        let key = client as u64;
+        submit_position_keyed(&mut aps, key, &dep, truth, &cfg, &mut rng).expect("submit spectra");
         let t0 = Instant::now();
-        let fix = client.localize(None).expect("localize");
+        let fix = app.localize(key, None).expect("localize");
         let rtt = t0.elapsed().as_secs_f64() * 1e3;
         let err = fix.position.distance(truth);
         let healthy = fix

@@ -1,10 +1,11 @@
 //! The networked location service through the facade: simulated office
-//! capture → wire protocol → batched server fusion, checked bit-exactly
-//! against the in-process `ArrayTrackServer` on the same spectra.
+//! capture → keyed wire submission → batched server fusion, checked
+//! bit-exactly against the in-process `ArrayTrackServer` on the same
+//! spectra.
 
 use arraytrack::core::health::{ApStatus, HealthPolicy};
 use arraytrack::core::ArrayTrackServer;
-use arraytrack::serve::{Client, ClientConfig, ServeConfig};
+use arraytrack::serve::{ApClient, AppClient, ClientConfig, ServeConfig};
 use arraytrack::testbed::{compute_spectrum, Deployment, ExperimentConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,11 +37,14 @@ fn wire_fix_matches_in_process_server_bit_for_bit() {
         ServeConfig::default(),
     )
     .expect("spawn");
-    let mut client = Client::connect(server.addr(), ClientConfig::default()).expect("connect");
+    // A private session: one ingestion connection, an unused key.
+    let key = 10;
+    let mut ingest = ApClient::connect(server.addr(), ClientConfig::default()).expect("connect");
     for (ap, spectrum) in spectra.iter().enumerate() {
-        client.submit(ap as u32, 0, spectrum).expect("submit");
+        ingest.submit(key, ap as u32, 0, spectrum).expect("submit");
     }
-    let fix = client.localize(None).expect("wire fix");
+    let mut app = AppClient::connect(server.addr(), ClientConfig::default()).expect("connect");
+    let fix = app.localize(key, None).expect("wire fix");
 
     assert_eq!(fix.position.x.to_bits(), expected.position.x.to_bits());
     assert_eq!(fix.position.y.to_bits(), expected.position.y.to_bits());
@@ -49,9 +53,9 @@ fn wire_fix_matches_in_process_server_bit_for_bit() {
 
     // Failure reports degrade an AP over the wire with the same policy
     // thresholds the in-process tracker applies (degraded_after = 2).
-    client.report_failure(2).expect("report");
-    client.report_failure(2).expect("report");
-    let fix = client.localize(None).expect("degraded fix");
+    ingest.report_failure(2).expect("report");
+    ingest.report_failure(2).expect("report");
+    let fix = app.localize(key, None).expect("degraded fix");
     let degraded = fix
         .health
         .iter()

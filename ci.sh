@@ -52,8 +52,11 @@
 #   serve        — the networked location service: wire-protocol unit +
 #                  property tests (decoder totality, bit-exact round trips),
 #                  the loopback server tests (keyed parity, shedding,
-#                  deadlines, drain, typed config refusals), and the
-#                  connection-churn fd test, then loadgen --smoke — a seconds-scale
+#                  deadlines, drain, typed config refusals), the
+#                  connection-churn fd test, and the held-replies test
+#                  (tests/pipelined_replies.rs: 40 rounds of two pipelined
+#                  pings within 400 ms, so no reply waits for the peer's
+#                  delayed ACK), then loadgen --smoke — a seconds-scale
 #                  sustained/overload/mixed/drain run that fails on
 #                  throughput collapse, inert admission control, broken
 #                  keyed parity, a resident gauge over the session cap,

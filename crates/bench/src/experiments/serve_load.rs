@@ -12,11 +12,11 @@
 //! 1. **sustained** — concurrent clients issue localize requests for
 //!    their keys back to back; reports responses/sec and the
 //!    client-observed p50/p95/p99 round-trip latency.
-//! 2. **overload** — a deliberately tiny server (one worker, depth-1
-//!    queues) under a 32-client storm with client retry disabled: offered
-//!    load beyond capacity must *shed* (typed `Overloaded` frames, shed
-//!    counter > 0) while the server keeps answering — proven by a
-//!    ping + localize after the storm.
+//! 2. **overload** — a deliberately tiny server (one worker, a depth-1
+//!    admission queue) under a 32-client storm with client retry
+//!    disabled: offered load beyond capacity must *shed* (typed
+//!    `Overloaded` frames, shed counter > 0) while the server keeps
+//!    answering — proven by a ping + localize after the storm.
 //! 3. **mixed** — the Figure 1 topology: six AP ingestion connections
 //!    stream keyed spectra over the *quantized* uplink while
 //!    app connections localize by key, under a resident-spectra cap of
@@ -27,8 +27,9 @@
 //!    quantized path's per-key fix displacement is measured against the
 //!    raw fusion. The server's uplink accounting yields the
 //!    compression-ratio number committed to `BENCH_SERVE.json`.
-//! 4. **drain** — a request is parked mid-batch-window while the server
-//!    shuts down; graceful drain must still answer it with a fix.
+//! 4. **drain** — concurrent requests park in admission behind one busy
+//!    worker while the server shuts down; graceful drain must still
+//!    answer every one of them with a fix.
 //!
 //! `--smoke` runs the same four phases at CI scale (seconds, not
 //! minutes) and exits non-zero if the sustained throughput collapses
@@ -44,14 +45,14 @@ use at_core::health::HealthPolicy;
 use at_core::synthesis::SearchRegion;
 use at_core::{AoaSpectrum, ArrayTrackServer};
 use at_serve::{
-    spawn, AdaptivePolicy, ApClient, AppClient, BatchPolicy, ClientConfig, ClientError, ClientKey,
-    Encoding, RemoteFix, ServeConfig, ServiceConfig, SessionPolicy,
+    spawn, ApClient, AppClient, ClientConfig, ClientError, ClientKey, Encoding, RemoteFix,
+    ServeConfig, ServiceConfig, SessionPolicy,
 };
 use at_testbed::office;
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -63,7 +64,7 @@ const BINS: usize = 720;
 
 /// Smoke gate: the sustained phase must clear this rate. Far below the
 /// committed baseline on purpose — the gate catches collapse (a lost
-/// batch path, an accidental serial queue), not scheduler noise.
+/// worker, an accidental serial queue), not scheduler noise.
 const SMOKE_MIN_RPS: f64 = 100.0;
 
 /// Percentile of a sample set, nearest-rank on the sorted copy.
@@ -181,9 +182,6 @@ fn run_sustained(report: &Report, clients: usize, per_client: usize) -> Sustaine
     let cfg = ServeConfig {
         workers: cfg_workers,
         admission_depth: 128,
-        exec_depth: 8,
-        batch: BatchPolicy::default(),
-        adaptive: Some(AdaptivePolicy::default()),
         retry_after_ms: 5,
         ..ServeConfig::default()
     };
@@ -252,12 +250,6 @@ fn run_overload(report: &Report, clients: usize, per_client: usize) -> OverloadR
     let cfg = ServeConfig {
         workers: 1,
         admission_depth: 1,
-        exec_depth: 1,
-        batch: BatchPolicy {
-            window: Duration::from_millis(1),
-            max_batch: 2,
-        },
-        adaptive: None,
         retry_after_ms: 5,
         ..ServeConfig::default()
     };
@@ -322,30 +314,75 @@ fn run_overload(report: &Report, clients: usize, per_client: usize) -> OverloadR
     result
 }
 
-/// Drain phase: shutdown must answer the request parked in the batcher.
-fn run_drain(report: &Report) -> bool {
+/// Concurrent requests of the drain phase.
+const DRAIN_CLIENTS: usize = 32;
+
+struct DrainResult {
+    /// Requests still waiting in admission when shutdown began.
+    parked: u64,
+    /// Requests answered with a fix.
+    answered: usize,
+}
+
+impl DrainResult {
+    /// Every request answered, with some of them parked at shutdown.
+    fn drained(&self) -> bool {
+        self.parked > 0 && self.answered == DRAIN_CLIENTS
+    }
+}
+
+/// Drain phase: [`DRAIN_CLIENTS`] requests arrive at once at a server
+/// with one worker, so all but the one it is fusing park in admission.
+/// Shutdown begins as soon as every request is admitted and must answer
+/// each parked request with a fix.
+fn run_drain(report: &Report) -> DrainResult {
     let service = office_service();
     let cfg = ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(300),
-            max_batch: 8,
-        },
-        adaptive: None,
+        workers: 1,
         ..ServeConfig::default()
     };
     let server = spawn(service.clone(), cfg, "127.0.0.1:0").expect("spawn");
     let addr = server.addr();
-    let in_flight = thread::spawn(move || {
-        let mut c = KeyedClient::primed(addr, &service, 0, pt(14.0, 9.0), ClientConfig::default());
-        c.localize()
-    });
-    thread::sleep(Duration::from_millis(80));
+    let go = Arc::new(Barrier::new(DRAIN_CLIENTS));
+    let clients: Vec<_> = (0..DRAIN_CLIENTS)
+        .map(|ci| {
+            let service = service.clone();
+            let go = Arc::clone(&go);
+            thread::spawn(move || {
+                let mut c = KeyedClient::primed(
+                    addr,
+                    &service,
+                    ci as u64,
+                    pt(14.0, 9.0),
+                    ClientConfig::default(),
+                );
+                go.wait();
+                c.localize()
+            })
+        })
+        .collect();
+    // A request is admitted once it is queued or fused. Reading the fix
+    // count before the depth never counts a request twice (a job leaves
+    // the queue before its fix is counted), so the sum reaches the
+    // client count only once every request is in.
+    let depth = at_obs::global().gauge("at_serve_queue_depth", &[("queue", "admission")]);
+    let admitted = || server.stats().fixes + depth.get() as u64;
+    while admitted() < DRAIN_CLIENTS as u64 {
+        thread::sleep(Duration::from_micros(100));
+    }
+    let parked = DRAIN_CLIENTS as u64 - server.stats().fixes;
     let stats = server.shutdown();
-    let drained = in_flight.join().expect("drain thread").is_ok() && stats.fixes == 1;
+    let answered = clients
+        .into_iter()
+        .map(|c| c.join().expect("drain thread"))
+        .filter(Result::is_ok)
+        .count();
+    assert_eq!(stats.fixes, answered as u64);
     report.line(format!(
-        "  drain: in-flight request answered during shutdown: {drained}"
+        "  drain: {parked} of {DRAIN_CLIENTS} requests parked in admission at shutdown, \
+         {answered} answered with fixes"
     ));
-    drained
+    DrainResult { parked, answered }
 }
 
 struct MixedResult {
@@ -643,7 +680,7 @@ fn write_json(
     sustained: &SustainedResult,
     overload: &OverloadResult,
     mixed: &MixedResult,
-    drained: bool,
+    drain: &DrainResult,
 ) -> std::io::Result<()> {
     // Host context rides along so the committed numbers can be traced to
     // the machine that produced them: the ROADMAP's "multi-core loadgen
@@ -685,7 +722,7 @@ fn write_json(
         mixed.uplink_raw_equiv_bytes as f64 / mixed.compressed_frames.max(1) as f64,
         mixed.p50_displacement_m,
         mixed.lossless_ok,
-        drained,
+        drain.drained(),
     );
     let mut f = std::fs::File::create(BASELINE_PATH)?;
     f.write_all(json.as_bytes())?;
@@ -700,7 +737,7 @@ pub fn run() -> std::io::Result<()> {
     let sustained = run_sustained(&report, 8, 600);
     let overload = run_overload(&report, 32, 16);
     let mixed = run_mixed(&report, 16, 8, 8, 100);
-    let drained = run_drain(&report);
+    let drain = run_drain(&report);
     report.csv(
         "loadgen",
         &["metric", "value"],
@@ -729,7 +766,7 @@ pub fn run() -> std::io::Result<()> {
                 "uplink_lossless_bit_exact".into(),
                 mixed.lossless_ok.to_string(),
             ],
-            vec!["drained".into(), drained.to_string()],
+            vec!["drained".into(), drain.drained().to_string()],
         ],
     )?;
     // Re-baseline only where the worker pool actually fans out: the
@@ -740,7 +777,7 @@ pub fn run() -> std::io::Result<()> {
         .map(|n| n.get())
         .unwrap_or(1);
     if cores > 2 {
-        write_json(&sustained, &overload, &mixed, drained)?;
+        write_json(&sustained, &overload, &mixed, &drain)?;
     } else {
         report.line(format!(
             "  -> BENCH_SERVE.json re-baseline skipped: host has {cores} core(s), \
@@ -781,7 +818,7 @@ pub fn run_smoke() -> std::io::Result<()> {
     let sustained = run_sustained(&report, 4, 60);
     let overload = run_overload(&report, 16, 8);
     let mixed = run_mixed(&report, 8, 4, 4, 24);
-    let drained = run_drain(&report);
+    let drain = run_drain(&report);
     let mut failures = Vec::new();
     if sustained.rps < SMOKE_MIN_RPS {
         failures.push(format!(
@@ -830,8 +867,11 @@ pub fn run_smoke() -> std::io::Result<()> {
     if !mixed.lossless_ok {
         failures.push("lossless-delta replay diverged from the raw fix".into());
     }
-    if !drained {
+    if drain.answered < DRAIN_CLIENTS {
         failures.push("graceful shutdown dropped an in-flight request".into());
+    }
+    if drain.parked == 0 {
+        failures.push("drain run parked nothing — shutdown had nothing to drain".into());
     }
     if failures.is_empty() {
         report.line("  serve-smoke: all gates passed");

@@ -40,10 +40,13 @@ pub const ACQUIRE: &str = "acquire";
 /// One networked localize request end to end: frame receipt to reply
 /// written (at-serve connection thread).
 pub const SERVE_REQUEST: &str = "serve_request";
-/// Admission-queue dwell plus batch gathering (at-serve batcher).
+/// Admission-queue dwell of one localize request: from admission until a
+/// worker pops it (at-serve worker).
 pub const SERVE_QUEUE: &str = "serve_queue";
-/// One coalesced engine sweep over a batch of localize requests
-/// (at-serve worker).
+/// One admitted job's fusion on a worker, after its deadline check:
+/// the epoch pin, the health snapshot, the engine sweep and the reply
+/// hand-off (at-serve worker). The name predates the removal of request
+/// batching; each sample is one request.
 pub const SERVE_BATCH: &str = "serve_batch";
 
 /// Every stage name, in pipeline order (export and doc tooling).

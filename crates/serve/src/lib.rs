@@ -15,15 +15,14 @@
 //! - [`store`] — the sharded keyed session store, the server's only
 //!   session model: AP connections submit spectra for a [`ClientKey`],
 //!   application connections localize that key;
-//! - [`queue`] — bounded closing queues, the backpressure primitive;
-//! - [`batch`] — the coalescing window that groups concurrent localize
-//!   requests for one worker;
+//! - [`queue`] — the bounded closing admission queue, the backpressure
+//!   primitive;
 //! - [`server`] — the thread-pool TCP server: admission control that
 //!   sheds load with typed `Overloaded` frames instead of queuing
-//!   unboundedly, client-propagated deadlines enforced before the
-//!   expensive stages, request batching, a [`RecordTap`] on every
-//!   store-mutating event (so every fix replays), and drain-then-stop
-//!   shutdown;
+//!   unboundedly, client-propagated deadlines enforced before fusion,
+//!   workers that pop each job straight from admission and answer it as
+//!   soon as it is fused, a [`RecordTap`] on every store-mutating event
+//!   (so every fix replays), and drain-then-stop shutdown;
 //! - [`client`] — blocking clients (role-neutral [`Client`], ingestion
 //!   [`ApClient`], query [`AppClient`]) with the same bounded-attempts
 //!   retry discipline as the testbed's acquisition layer.
@@ -39,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod codec;
 pub mod proto;
@@ -47,7 +45,6 @@ pub mod queue;
 pub mod server;
 pub mod store;
 
-pub use batch::{AdaptivePolicy, BatchController, BatchPolicy, BATCH_WINDOW_GAUGE};
 pub use client::{
     ApClient, AppClient, Client, ClientConfig, ClientError, RemoteFix, RemoteTopology,
 };
@@ -57,3 +54,9 @@ pub use server::{
     spawn, spawn_recorded, RecordTap, ServeConfig, ServerHandle, ServiceConfig, StatsSnapshot,
 };
 pub use store::{KeyedObs, SessionPolicy, SessionStore, StoreStats};
+
+/// Name of the gauge that once reported the request-coalescing window.
+/// The server no longer batches, so nothing sets it and it reads 0; it
+/// stays only because the benchmark of record still samples it, and goes
+/// with the next change to the benchmark.
+pub const BATCH_WINDOW_GAUGE: &str = "at_serve_batch_window_seconds";

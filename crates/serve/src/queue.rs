@@ -1,11 +1,10 @@
 //! Bounded MPMC queues with closing semantics — the backpressure
-//! primitive between the server's stages.
+//! primitive between the server's connections and its workers.
 //!
-//! Each queue has a hard capacity and two personalities on the producer
-//! side: [`Bounded::try_push`] for admission control (fail fast so the
-//! caller can shed load with a typed `Overloaded` frame) and
-//! [`Bounded::push`] for internal hand-offs (block so a slow downstream
-//! stage applies backpressure upstream instead of growing memory).
+//! Each queue has a hard capacity, and producers never block:
+//! [`Bounded::try_push`] fails fast when the queue is full, so the caller
+//! can shed load with a typed `Overloaded` frame instead of growing
+//! memory.
 //!
 //! Closing is drain-first: after [`Bounded::close`] producers are refused
 //! but consumers keep popping until the queue is empty, which is exactly
@@ -15,19 +14,17 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 struct Inner<T> {
     q: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded multi-producer multi-consumer queue (mutex + condvars; the
+/// A bounded multi-producer multi-consumer queue (mutex + condvar; the
 /// hand-off rate here is thousands per second, far below contention).
 pub struct Bounded<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
     cap: usize,
     depth: Arc<at_obs::metrics::Gauge>,
 }
@@ -46,7 +43,6 @@ impl<T> Bounded<T> {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             cap,
             depth: at_obs::global().gauge("at_serve_queue_depth", &[("queue", label)]),
         }
@@ -82,23 +78,6 @@ impl<T> Bounded<T> {
         Ok(())
     }
 
-    /// Blocking push: waits for space, returning `Err(item)` only if the
-    /// queue closes while waiting. Backpressure for internal hand-offs.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut g = self.inner.lock().expect("queue poisoned");
-        while !g.closed && g.q.len() >= self.cap {
-            g = self.not_full.wait(g).expect("queue poisoned");
-        }
-        if g.closed {
-            return Err(item);
-        }
-        g.q.push_back(item);
-        self.depth.set(g.q.len() as f64);
-        drop(g);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Blocking pop: waits for an item, returning `None` only once the
     /// queue is closed *and* drained.
     pub fn pop(&self) -> Option<T> {
@@ -106,44 +85,12 @@ impl<T> Bounded<T> {
         loop {
             if let Some(item) = g.q.pop_front() {
                 self.depth.set(g.q.len() as f64);
-                drop(g);
-                self.not_full.notify_one();
                 return Some(item);
             }
             if g.closed {
                 return None;
             }
             g = self.not_empty.wait(g).expect("queue poisoned");
-        }
-    }
-
-    /// Pop with a wait bound: `None` on timeout or on closed-and-drained.
-    /// Used by the batcher to cap its coalescing window.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = g.q.pop_front() {
-                self.depth.set(g.q.len() as f64);
-                drop(g);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            let now = std::time::Instant::now();
-            let left = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())?;
-            let (guard, res) = self
-                .not_empty
-                .wait_timeout(g, left)
-                .expect("queue poisoned");
-            g = guard;
-            if res.timed_out() && g.q.is_empty() {
-                return None;
-            }
         }
     }
 
@@ -154,7 +101,6 @@ impl<T> Bounded<T> {
         g.closed = true;
         drop(g);
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -163,6 +109,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn try_push_sheds_when_full() {
@@ -185,29 +132,6 @@ mod tests {
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocking_push_applies_backpressure() {
-        let q = Arc::new(Bounded::new(1, "unit_backpressure"));
-        q.try_push(0).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.push(1).is_ok())
-        };
-        // The producer is stuck until we pop.
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0));
-        assert!(producer.join().unwrap());
-        assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn pop_timeout_returns_none_when_idle() {
-        let q: Bounded<u8> = Bounded::new(1, "unit_timeout");
-        let start = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
-        assert!(start.elapsed() >= Duration::from_millis(9));
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! The thread-pool TCP location server.
 //!
-//! Request path (one bounded queue between each pair of stages, so every
-//! stage applies backpressure to the one before it):
+//! Request path (one bounded queue between the connections and the
+//! workers, so a full pool applies backpressure to admission):
 //!
 //! ```text
-//! conn threads ──try_push──▶ admission queue ──▶ batcher ──push──▶ exec
-//!   (1/socket)    shed ⇒ Overloaded      (coalesce ≤ window)   queue
-//!                                                               │
-//!                                         workers ◀─────────────┘
-//!                              (at_core::fuse per job, shared engine)
+//! conn threads ──try_push──▶ admission queue ──pop──▶ workers
+//!   (1/socket)    shed ⇒ Overloaded              (at_core::fuse per job,
+//!                                                 shared engine)
 //! ```
 //!
 //! - **Admission control** is the `try_push` edge: when the admission
@@ -16,20 +14,21 @@
 //!   [`Frame::Overloaded`] carrying a retry hint — the server never queues
 //!   unboundedly and stays responsive under any offered load.
 //! - **Deadlines** travel from the client as a relative budget; the clock
-//!   starts at frame receipt and is checked at every stage boundary
+//!   starts at frame receipt and is checked when a worker pops the job,
 //!   *before* the expensive fusion sweep, so a request that can no longer
 //!   make its deadline costs a queue slot, not an engine walk.
-//! - **Batching** coalesces localize requests arriving within
-//!   [`BatchPolicy::window`] into one batch; a worker fuses its jobs one
-//!   after another under one health snapshot, on the shared precomputed
-//!   engine and the worker's own fusion scratch.
+//! - **Workers** pop one job at a time straight from admission and fuse
+//!   it on the shared precomputed engine with the worker's own fusion
+//!   scratch; the reply goes out as soon as the fix is fused. Every
+//!   accepted socket has `TCP_NODELAY`, so a reply written while the
+//!   previous one is still unacknowledged is not held back by Nagle's
+//!   algorithm until the peer's next request carries the ACK.
 //! - **Sessions** live in the keyed [`SessionStore`] only: AP connections
 //!   submit into it, application connections localize from it, and every
 //!   admitted event passes the [`RecordTap`], so every fix is replayable.
 //! - **Shutdown** is drain-then-stop: the admission queue closes (new
-//!   requests see [`Frame::ShuttingDown`]), everything already admitted is
-//!   fused and answered, then the stage threads and connections wind down
-//!   in pipeline order.
+//!   requests see [`Frame::ShuttingDown`]), the workers fuse and answer
+//!   everything already admitted and exit, then the connections wind down.
 //!
 //! Fusion itself is [`at_core::plan_fusion`]/[`at_core::execute_fusion`] —
 //! the *same* code path as the in-process `ArrayTrackServer::try_localize`
@@ -37,7 +36,6 @@
 //! in-process one, and degraded deployments surface the same
 //! [`at_core::health::LocalizeError`] values over the wire.
 
-use crate::batch::{gather, AdaptivePolicy, BatchController, BatchPolicy};
 use crate::codec;
 use crate::proto::{self, ApHealthReport, ClientKey, Frame, ReadError, HEADER_LEN};
 use crate::queue::Bounded;
@@ -97,23 +95,15 @@ impl ServiceConfig {
     }
 }
 
-/// Server runtime shape: thread counts, queue depths, batching.
+/// Server runtime shape: worker count, admission depth, shedding hint and
+/// session residency.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Fusion worker threads.
+    /// Fusion worker threads; each pops one admitted job at a time.
     pub workers: usize,
     /// Admission queue depth — the *only* place requests wait; beyond it
     /// they are shed with [`Frame::Overloaded`].
     pub admission_depth: usize,
-    /// Executor queue depth, in batches (small: its only job is keeping
-    /// workers fed while the batcher gathers the next batch).
-    pub exec_depth: usize,
-    /// Coalescing policy for localize requests (`batch.window` is the
-    /// starting window when adaptation is on).
-    pub batch: BatchPolicy,
-    /// Adaptive window sizing from the observed admission-queue dwell;
-    /// `None` pins the window at `batch.window`.
-    pub adaptive: Option<AdaptivePolicy>,
     /// Retry hint attached to [`Frame::Overloaded`] responses.
     pub retry_after_ms: u32,
     /// Residency policy of the keyed session store (idle timeout,
@@ -126,9 +116,6 @@ impl Default for ServeConfig {
         Self {
             workers: 4,
             admission_depth: 64,
-            exec_depth: 4,
-            batch: BatchPolicy::default(),
-            adaptive: Some(AdaptivePolicy::default()),
             retry_after_ms: 10,
             session: SessionPolicy::default(),
         }
@@ -137,24 +124,19 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Validates the configuration: a typed [`ConfigError`] on zero
-    /// workers, zero queue depths, an inconsistent batch or adaptive
-    /// policy, or an inconsistent session policy.
+    /// workers, a zero admission depth, or an inconsistent session policy.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::Serve("need at least one worker"));
         }
-        if self.admission_depth == 0 || self.exec_depth == 0 {
-            return Err(ConfigError::Serve("queue depths must be at least 1"));
-        }
-        self.batch.validate()?;
-        if let Some(a) = &self.adaptive {
-            a.validate()?;
+        if self.admission_depth == 0 {
+            return Err(ConfigError::Serve("admission depth must be at least 1"));
         }
         self.session.check()
     }
 }
 
-/// One admitted localize request traveling through the stage queues.
+/// One admitted localize request, waiting in admission for a worker.
 struct Job {
     /// The key's store snapshot, in ascending AP order. Spectra ride
     /// behind an `Arc`, so a submit racing this request replaces the
@@ -304,7 +286,7 @@ struct Shared {
 ///
 /// Binds `addr` (use port 0 for an ephemeral loopback port), precomputes
 /// the localization engine for the deployment, and starts the acceptor,
-/// batcher, and worker threads. The server runs until
+/// reaper, and worker threads. The server runs until
 /// [`ServerHandle::shutdown`] (or drop).
 pub fn spawn(
     service: ServiceConfig,
@@ -365,17 +347,6 @@ pub fn spawn_recorded(
         tap,
     });
     let admission = Arc::new(Bounded::new(cfg.admission_depth, "admission"));
-    let exec: Arc<Bounded<Vec<Job>>> = Arc::new(Bounded::new(cfg.exec_depth, "exec"));
-
-    let batcher = {
-        let admission = Arc::clone(&admission);
-        let exec = Arc::clone(&exec);
-        let shared = Arc::clone(&shared);
-        let controller = BatchController::new(cfg.batch, cfg.adaptive);
-        thread::Builder::new()
-            .name("at-serve-batcher".into())
-            .spawn(move || run_batcher(&admission, &exec, &shared, controller))?
-    };
 
     let reaper_stop = Arc::new(ReaperStop::default());
     let reaper = {
@@ -388,11 +359,11 @@ pub fn spawn_recorded(
 
     let workers = (0..cfg.workers)
         .map(|i| {
-            let exec = Arc::clone(&exec);
+            let admission = Arc::clone(&admission);
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name(format!("at-serve-worker-{i}"))
-                .spawn(move || run_worker(&exec, &shared))
+                .spawn(move || run_worker(&admission, &shared))
         })
         .collect::<io::Result<Vec<_>>>()?;
 
@@ -414,7 +385,12 @@ pub fn spawn_recorded(
                     let Ok(stream) = stream else { continue };
                     shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                     at_obs::count!("at_serve_connections_total");
-                    let Ok(clone) = stream.try_clone() else {
+                    // Replies go out as soon as they are written: without
+                    // TCP_NODELAY, a reply sent while the previous one is
+                    // unacknowledged waits for the ACK that rides on the
+                    // peer's next request.
+                    let Ok(clone) = stream.set_nodelay(true).and_then(|()| stream.try_clone())
+                    else {
                         continue;
                     };
                     let id = next_id;
@@ -445,7 +421,6 @@ pub fn spawn_recorded(
         admission,
         accept_stop,
         acceptor: Some(acceptor),
-        batcher: Some(batcher),
         reaper: Some(reaper),
         reaper_stop,
         workers,
@@ -523,7 +498,6 @@ pub struct ServerHandle {
     admission: Arc<Bounded<Job>>,
     accept_stop: Arc<AtomicBool>,
     acceptor: Option<thread::JoinHandle<()>>,
-    batcher: Option<thread::JoinHandle<()>>,
     reaper: Option<thread::JoinHandle<()>>,
     reaper_stop: Arc<ReaperStop>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -588,9 +562,9 @@ impl ServerHandle {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        // 3. The batcher drains the admission queue, then closes exec;
-        //    workers drain exec, answering every in-flight request. The
-        //    reaper just stops — resident sessions die with the store.
+        // 3. Workers drain the closed admission queue, answering every
+        //    in-flight request, then exit. The reaper just stops —
+        //    resident sessions die with the store.
         *self
             .reaper_stop
             .stopped
@@ -598,9 +572,6 @@ impl ServerHandle {
             .expect("reaper stop poisoned") = true;
         self.reaper_stop.cv.notify_all();
         if let Some(h) = self.reaper.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
@@ -932,7 +903,7 @@ fn handle_localize(
         Some(query_seq) => {
             let reply = match reply_rx.recv() {
                 Ok(frame) => frame,
-                // The pipeline dropped the job mid-shutdown unanswered.
+                // The job was dropped unanswered (its worker panicked).
                 Err(_) => Frame::ShuttingDown,
             };
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -1024,92 +995,50 @@ fn expire_deadline(shared: &Shared, job: &Job, now: Instant) -> bool {
     false
 }
 
-fn run_batcher(
-    admission: &Bounded<Job>,
-    exec: &Bounded<Vec<Job>>,
-    shared: &Shared,
-    mut controller: BatchController,
-) {
+fn run_worker(admission: &Bounded<Job>, shared: &Shared) {
     let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
-    while let Some(batch) = gather(admission, controller.policy()) {
-        // A request that expired while queued must not occupy a batch slot.
-        let now = Instant::now();
-        for job in &batch {
-            dwell.observe(now.saturating_duration_since(job.enqueued).as_secs_f64());
-        }
-        controller.on_batch();
-        let live: Vec<Job> = batch
-            .into_iter()
-            .filter(|job| !expire_deadline(shared, job, now))
-            .collect();
-        if live.is_empty() {
-            continue;
-        }
-        if let Err(refused) = exec.push(live) {
-            // Only possible mid-shutdown; answer rather than drop.
-            for job in refused {
-                let _ = job.reply.send(Frame::ShuttingDown);
-            }
-        }
-    }
-    // Admission is closed and drained: signal the workers.
-    exec.close();
-}
-
-fn run_worker(exec: &Bounded<Vec<Job>>, shared: &Shared) {
     // Reused job after job: a warm worker's engine sweep allocates nothing.
     let mut scratch = FusionScratch::new();
-    while let Some(batch) = exec.pop() {
-        let _t = at_obs::time_stage!(
-            at_obs::stages::SERVE_BATCH,
-            "requests" => batch.len(),
-        );
-        // Last deadline check before the expensive sweep.
+    while let Some(job) = admission.pop() {
         let now = Instant::now();
-        let live: Vec<Job> = batch
-            .into_iter()
-            .filter(|job| !expire_deadline(shared, job, now))
-            .collect();
-        if live.is_empty() {
+        dwell.observe(now.saturating_duration_since(job.enqueued).as_secs_f64());
+        // Last deadline check before the expensive sweep.
+        if expire_deadline(shared, &job, now) {
             continue;
         }
-        // Pin the epoch for the whole batch: engine and policy from one
-        // topo read. A swap cannot run concurrently (it drains in-flight
-        // first), so this is always the epoch the batch was admitted
-        // under.
+        let _t = at_obs::time_stage!(at_obs::stages::SERVE_BATCH);
+        // Pin the epoch: engine and policy from one topo read. A swap
+        // cannot run concurrently (it drains in-flight first), so this is
+        // always the epoch the job was admitted under.
         let (engine, policy) = {
             let topo = shared.topo.read().expect("topo poisoned");
             (Arc::clone(&topo.engine), topo.config.health)
         };
-        // One health snapshot per batch: every request of a batch is
-        // judged under the same deployment state.
         let health = shared.health.lock().expect("health poisoned").clone();
-        for job in &live {
-            let fused: Vec<FusedObservation<'_>> = job
-                .obs
-                .iter()
-                .map(|o| FusedObservation {
-                    pose_idx: o.ap_id as usize,
-                    spectrum: &o.spectrum,
-                    ap_id: Some(o.ap_id as usize),
-                    age: o.age,
-                })
-                .collect();
-            // Workers are the parallelism; each fusion runs on this thread.
-            let frame = match at_core::fuse(&engine, &fused, &health, &policy, &mut scratch) {
-                Ok(estimate) => {
-                    shared.stats.fixes.fetch_add(1, Ordering::Relaxed);
-                    at_obs::count!("at_serve_responses_total", "result" => "fix");
-                    fix_frame(&policy, &health, &job.obs, estimate)
-                }
-                Err(error) => {
-                    shared.stats.failures.fetch_add(1, Ordering::Relaxed);
-                    at_obs::count!("at_serve_responses_total", "result" => "failed");
-                    Frame::Failed { error }
-                }
-            };
-            let _ = job.reply.send(frame);
-        }
+        let fused: Vec<FusedObservation<'_>> = job
+            .obs
+            .iter()
+            .map(|o| FusedObservation {
+                pose_idx: o.ap_id as usize,
+                spectrum: &o.spectrum,
+                ap_id: Some(o.ap_id as usize),
+                age: o.age,
+            })
+            .collect();
+        // Workers are the parallelism; each fusion runs on this thread.
+        let frame = match at_core::fuse(&engine, &fused, &health, &policy, &mut scratch) {
+            Ok(estimate) => {
+                shared.stats.fixes.fetch_add(1, Ordering::Relaxed);
+                at_obs::count!("at_serve_responses_total", "result" => "fix");
+                fix_frame(&policy, &health, &job.obs, estimate)
+            }
+            Err(error) => {
+                shared.stats.failures.fetch_add(1, Ordering::Relaxed);
+                at_obs::count!("at_serve_responses_total", "result" => "failed");
+                Frame::Failed { error }
+            }
+        };
+        let _ = job.reply.send(frame);
     }
 }
 

@@ -6,17 +6,19 @@
 //! localizes through an `AppClient`.
 
 use at_channel::geometry::{pt, Point};
-use at_config::ConfigError;
+use at_config::{ConfigError, TopologyOp};
 use at_core::health::{ApStatus, HealthPolicy, LocalizeError};
 use at_core::synthesis::{ApPose, SearchRegion};
 use at_core::{AoaSpectrum, ArrayTrackServer};
+use at_serve::proto::{self, Frame};
 use at_serve::{
-    spawn, AdaptivePolicy, ApClient, AppClient, BatchPolicy, Client, ClientConfig, ClientError,
-    ServeConfig, ServiceConfig,
+    spawn, spawn_recorded, ApClient, AppClient, Client, ClientConfig, ClientError, ClientKey,
+    RecordTap, ServeConfig, ServiceConfig,
 };
-use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::io::{self, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -197,17 +199,11 @@ fn degraded_deployment_keeps_typed_semantics_over_the_wire() {
 #[test]
 fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
     let target = pt(3.0, 7.0);
-    // One worker, minimal queues: offered load far beyond capacity must
-    // shed, not queue.
+    // One worker, a one-slot admission queue: offered load far beyond
+    // capacity must shed, not queue.
     let cfg = ServeConfig {
         workers: 1,
         admission_depth: 1,
-        exec_depth: 1,
-        batch: BatchPolicy {
-            window: Duration::from_millis(1),
-            max_batch: 2,
-        },
-        adaptive: None,
         retry_after_ms: 5,
         ..ServeConfig::default()
     };
@@ -268,64 +264,180 @@ fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
 
 #[test]
 fn queued_past_deadline_requests_are_dropped_before_fusion() {
-    // A long batching window guarantees the request's 5 ms budget expires
-    // while it waits for batch companions that never come.
+    // One worker and a burst of concurrent requests with a 1 ms budget:
+    // the requests queued behind the worker's current fusion outlive
+    // their budget in admission and must be answered before fusion.
+    const CLIENTS: u64 = 16;
     let cfg = ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(120),
-            max_batch: 8,
-        },
-        adaptive: None,
-        ..ServeConfig::default()
-    };
-    let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
-    let (mut ap, mut app) = (ingest(server.addr()), app(server.addr()));
-    ap.submit(1, 0, 0, &lobe_spectrum(0, pt(5.0, 5.0)))
-        .expect("submit");
-    match app.localize(1, Some(Duration::from_millis(5))) {
-        Err(ClientError::DeadlineExceeded) => {}
-        other => panic!("wanted DeadlineExceeded, got {other:?}"),
-    }
-    // Without a deadline the same session localizes fine.
-    app.localize(1, None).expect("fix without deadline");
-    let stats = server.shutdown();
-    assert_eq!(stats.deadline_missed, 1);
-    assert_eq!(stats.fixes, 1);
-}
-
-#[test]
-fn shutdown_drains_in_flight_requests_then_refuses_new_ones() {
-    let target = pt(15.0, 2.0);
-    // A long window keeps the admitted request in the batcher while we
-    // shut down: it must still be answered.
-    let cfg = ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(300),
-            max_batch: 8,
-        },
-        adaptive: None,
+        workers: 1,
         ..ServeConfig::default()
     };
     let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
     let addr = server.addr();
+    let mut ap = ingest(addr);
+    for i in 0..4u32 {
+        ap.submit(1, i, 0, &lobe_spectrum(i as usize, pt(5.0, 5.0)))
+            .expect("submit");
+    }
+    let start = Arc::new(Barrier::new(CLIENTS as usize));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                let mut app = app(addr);
+                start.wait();
+                app.localize(1, Some(Duration::from_millis(1)))
+            })
+        })
+        .collect();
+    let (mut fixes, mut missed) = (0u64, 0u64);
+    for c in clients {
+        match c.join().expect("client thread") {
+            Ok(_) => fixes += 1,
+            Err(ClientError::DeadlineExceeded) => missed += 1,
+            other => panic!("wanted a fix or DeadlineExceeded, got {other:?}"),
+        }
+    }
+    assert!(missed > 0, "no 1 ms budget expired behind a busy worker");
+    // Without a deadline the same session localizes fine.
+    app(addr).localize(1, None).expect("fix without deadline");
+    let stats = server.shutdown();
+    assert_eq!(stats.shed, 0, "every request was admitted");
+    assert_eq!(stats.deadline_missed, missed);
+    assert_eq!(stats.fixes, fixes + 1);
+    // Each admitted request was fused or dropped, never both: an expired
+    // job never reaches fusion.
+    assert_eq!(stats.fixes + stats.deadline_missed, CLIENTS + 1);
+}
 
-    let in_flight = thread::spawn(move || {
-        let mut ap = ingest(addr);
+/// Counts the replies to admitted queries: the server calls
+/// [`RecordTap::outcome`] exactly once for each request it admitted, and
+/// never for one it refused.
+#[derive(Default)]
+struct OutcomeTap {
+    queries: AtomicU64,
+    fixes: AtomicUsize,
+    other: AtomicUsize,
+    /// Set just before shutdown begins.
+    draining: AtomicBool,
+    fixes_in_drain: AtomicUsize,
+}
+
+impl RecordTap for OutcomeTap {
+    fn submit(&self, _: ClientKey, _: u32, _: u64, _: &AoaSpectrum) {}
+    fn failure(&self, _: u32) {}
+    fn query(&self, _: ClientKey, _: u32) -> u64 {
+        self.queries.fetch_add(1, Ordering::SeqCst)
+    }
+    fn outcome(&self, _: u64, reply: &Frame) {
+        if matches!(reply, Frame::Fix { .. }) {
+            self.fixes.fetch_add(1, Ordering::SeqCst);
+            if self.draining.load(Ordering::SeqCst) {
+                self.fixes_in_drain.fetch_add(1, Ordering::SeqCst);
+            }
+        } else {
+            self.other.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    fn tick(&self) {}
+    fn idle_reap(&self, _: &[ClientKey]) {}
+    fn epoch_change(&self, _: u64, _: u64, _: &TopologyOp) {}
+}
+
+#[test]
+fn shutdown_drains_in_flight_requests_then_refuses_new_ones() {
+    const CONNS: u64 = 4;
+    const PER_CONN: usize = 25;
+    let target = pt(15.0, 2.0);
+    let tap = Arc::new(OutcomeTap::default());
+    // One worker: while it fuses, the other connections' requests park in
+    // admission.
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let recorder: Arc<dyn RecordTap> = tap.clone();
+    let server = spawn_recorded(
+        service(HealthPolicy::default()),
+        cfg,
+        "127.0.0.1:0",
+        Some(recorder),
+    )
+    .expect("spawn");
+    let addr = server.addr();
+    let mut ap = ingest(addr);
+    for key in 0..CONNS {
         for i in 0..4u32 {
-            ap.submit(1, i, 0, &lobe_spectrum(i as usize, target))
+            ap.submit(key, i, 0, &lobe_spectrum(i as usize, target))
                 .expect("submit");
         }
-        app(addr).localize(1, None)
-    });
-    // Let the request get admitted, then pull the plug mid-batch-window.
-    thread::sleep(Duration::from_millis(80));
+    }
+
+    // Each connection sends all its requests in one write. The server
+    // answers one request per connection at a time, so the rest wait in
+    // its socket buffer, and each is read and answered whether it comes
+    // before or after admission closes.
+    let clients: Vec<_> = (0..CONNS)
+        .map(|key| {
+            let mut sock = TcpStream::connect(addr).expect("connect");
+            sock.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut burst = Vec::new();
+            for _ in 0..PER_CONN {
+                proto::write_frame(
+                    &mut burst,
+                    &Frame::LocalizeKey {
+                        key,
+                        deadline_ms: 0,
+                    },
+                )
+                .expect("encode");
+            }
+            sock.write_all(&burst).expect("send burst");
+            thread::spawn(move || {
+                (0..PER_CONN)
+                    .map(|_| proto::read_frame(&mut sock))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    // Pull the plug mid-stream.
+    while server.stats().fixes < CONNS {
+        thread::sleep(Duration::from_millis(1));
+    }
+    tap.draining.store(true, Ordering::SeqCst);
     let stats = server.shutdown();
-    let fix = in_flight
-        .join()
-        .expect("client thread")
-        .expect("in-flight request must drain to a fix");
-    assert!(fix.position.x.is_finite() && fix.position.y.is_finite());
-    assert_eq!(stats.fixes, 1);
+
+    let mut refused = 0;
+    for c in clients {
+        let mut shut = false;
+        for reply in c.join().expect("client thread") {
+            match reply {
+                Ok(Some(Frame::Fix { x, y, .. })) => {
+                    assert!(!shut, "a fix after ShuttingDown on one connection");
+                    assert!(x.is_finite() && y.is_finite());
+                }
+                Ok(Some(Frame::ShuttingDown)) => {
+                    shut = true;
+                    refused += 1;
+                }
+                other => panic!("wanted Fix or ShuttingDown, got {other:?}"),
+            }
+        }
+    }
+    let fixes = tap.fixes.load(Ordering::SeqCst);
+    assert_eq!(
+        tap.other.load(Ordering::SeqCst),
+        0,
+        "an admitted request got no fix"
+    );
+    assert_eq!(fixes as u64, stats.fixes);
+    assert_eq!(fixes + refused, CONNS as usize * PER_CONN);
+    assert!(refused > 0, "shutdown came after every request was served");
+    assert!(
+        tap.fixes_in_drain.load(Ordering::SeqCst) > 0,
+        "no admitted request was left to drain when shutdown began"
+    );
 
     // The listener is gone: a fresh connection is refused outright.
     assert!(Client::connect(
@@ -413,47 +525,7 @@ fn zero_admission_depth_is_refused_typed() {
             admission_depth: 0,
             ..ServeConfig::default()
         },
-        "queue depths",
-    );
-}
-
-#[test]
-fn zero_exec_depth_is_refused_typed() {
-    assert_refused(
-        ServeConfig {
-            exec_depth: 0,
-            ..ServeConfig::default()
-        },
-        "queue depths",
-    );
-}
-
-#[test]
-fn zero_max_batch_is_refused_typed() {
-    assert_refused(
-        ServeConfig {
-            batch: BatchPolicy {
-                max_batch: 0,
-                ..BatchPolicy::default()
-            },
-            ..ServeConfig::default()
-        },
-        "at least one request",
-    );
-}
-
-#[test]
-fn inverted_adaptive_window_is_refused_typed() {
-    assert_refused(
-        ServeConfig {
-            adaptive: Some(AdaptivePolicy {
-                min_window: Duration::from_millis(5),
-                max_window: Duration::from_millis(1),
-                ..AdaptivePolicy::default()
-            }),
-            ..ServeConfig::default()
-        },
-        "inverted",
+        "admission depth",
     );
 }
 

@@ -14,6 +14,12 @@
 #   fmt          — cargo fmt --check over the whole workspace
 #   build        — release build of every crate
 #   tier1        — the full test suite (ROADMAP.md's tier-1 bar)
+#   workspace    — every workspace crate's tests (minus the vendored
+#                  stand-ins): tier-1 covers the facade package only, so
+#                  this gates the crates' own unit tests and integration
+#                  tests (at-core's ArrayTrackServer and fusion tests,
+#                  zero_alloc, engine_parity, kernel_parity, and the
+#                  dsp/linalg/channel/frontend/testbed/obs/replay suites)
 #   proto        — at-serve wire-protocol unit tests (--quick and --stage)
 #   proto-props  — wire-protocol property tests: decoder totality,
 #                  bit-exact round trips of every frame type, one protocol
@@ -83,7 +89,7 @@ cd "$(dirname "$0")"
 # The single source of truth for stage names: usage, the unknown-stage
 # error, and tests/ci_sh.rs all key off this list (run_stage's dispatch
 # must cover exactly these names).
-STAGES=(fmt build tier1 proto proto-props codec replay topology robustness serve serve-sessions lint bench-smoke benchmark)
+STAGES=(fmt build tier1 workspace proto proto-props codec replay topology robustness serve serve-sessions lint bench-smoke benchmark)
 
 usage() {
     echo "usage: ./ci.sh [--quick] [--stage <name>]" >&2
@@ -160,6 +166,11 @@ serve_sessions() {
     cargo test -q -p at-serve --test store_interleave
 }
 
+workspace() {
+    # Vendored registry stand-ins (vendor/*) are excluded, as in lint.
+    cargo test -q --workspace --exclude rand --exclude proptest --exclude criterion
+}
+
 benchmark_gate() {
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -178,6 +189,7 @@ run_stage() {
     fmt) stage fmt cargo fmt --all --check ;;
     build) stage build cargo build --release ;;
     tier1) stage tier1 cargo test -q ;;
+    workspace) stage workspace workspace ;;
     proto) stage proto cargo test -q -p at-serve --lib ;;
     proto-props) stage proto-props cargo test -q -p at-serve --test proto_proptests ;;
     codec) stage codec codec_gate ;;
@@ -224,6 +236,7 @@ else
     run_stage fmt
     run_stage build
     run_stage tier1
+    run_stage workspace
     run_stage codec
     run_stage replay
     run_stage topology

@@ -399,17 +399,7 @@ impl SystemConfig {
         if !(8..=(1 << 16)).contains(&self.bins) {
             return Err(ConfigError::BinsOutOfRange { bins: self.bins });
         }
-        if self.health.degraded_after > self.health.down_after {
-            return Err(ConfigError::Health(
-                "an AP must degrade before it goes down",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.health.degraded_weight) {
-            return Err(ConfigError::Health("confidence weight must be in [0, 1]"));
-        }
-        if self.health.min_quorum < 1 {
-            return Err(ConfigError::Health("a fix needs at least one AP"));
-        }
+        self.health.check().map_err(ConfigError::Health)?;
         self.session.check()?;
         if self.session.max_resident_spectra < self.poses.len() {
             return Err(ConfigError::CapBelowApCount {
@@ -697,16 +687,6 @@ impl ApMapping {
             n_new: n,
         }
     }
-
-    /// Whether the mapping carries every AP over unchanged.
-    pub fn is_identity(&self) -> bool {
-        self.n_new == self.old_to_new.len()
-            && self
-                .old_to_new
-                .iter()
-                .enumerate()
-                .all(|(i, m)| *m == Some(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -852,7 +832,7 @@ mod tests {
         assert_eq!(next.poses[4], pose);
         assert_eq!(map.old_to_new[4], None);
         assert_eq!(map.old_to_new[3], Some(3));
-        assert!(!map.is_identity());
+        assert_ne!(map, ApMapping::identity(6));
     }
 
     #[test]
@@ -912,8 +892,9 @@ mod tests {
     #[test]
     fn mapping_identity_helpers() {
         let id = ApMapping::identity(4);
-        assert!(id.is_identity());
+        assert_eq!(id.n_new, 4);
+        assert_eq!(id.old_to_new, [Some(0), Some(1), Some(2), Some(3)]);
         let (_, map) = office().apply(&TopologyOp::Remove { ap_id: 5 }).unwrap();
-        assert!(!map.is_identity());
+        assert_ne!(map, ApMapping::identity(6));
     }
 }

@@ -427,13 +427,13 @@ impl LocalizationEngine {
 
     /// The accessor-based core of [`Self::localize`]: observations are
     /// supplied as `get(i) -> (AP index, spectrum)` for `i < n`, so callers
-    /// (the fusion pipeline, the serve tier) can feed borrowed spectra
+    /// (the fusion pipeline) can feed borrowed spectra
     /// straight from their own storage without materializing a slice.
     ///
     /// # Panics
     /// Panics if `n == 0`, any AP index is out of range, or any spectrum's
     /// resolution differs from the engine's.
-    pub fn localize_indexed<'a, F>(
+    pub(crate) fn localize_indexed<'a, F>(
         &self,
         n: usize,
         get: &F,
@@ -767,15 +767,28 @@ mod tests {
         let e0 = LocalizationEngine::for_epoch(&poses, region, 720, 0);
         assert_eq!(e0.epoch(), 0);
 
-        // Remove AP 1: three grids survive unchanged.
+        // Remove AP 1: three grids survive unchanged. A miss would insert
+        // a freshly built grid under its key, so the cached grids being the
+        // same allocations before and after the rebuild means all three
+        // were hits. (The process-wide hit/miss counters cannot show this
+        // exactly: the other unit tests build engines concurrently.)
         let mut fewer = poses.clone();
         fewer.remove(1);
-        let (h0, m0) = grid_cache_stats();
+        let cached = |poses: &[ApPose]| -> Vec<Arc<ApGrid>> {
+            let map = GRID_CACHE.get().expect("cache").lock().expect("lock");
+            poses
+                .iter()
+                .map(|p| Arc::clone(&map[&GridKey::new(p, &region, 720)]))
+                .collect()
+        };
+        let before = cached(&fewer);
         let e1 = LocalizationEngine::for_epoch(&fewer, region, 720, 1);
-        let (h1, m1) = grid_cache_stats();
+        let after = cached(&fewer);
         assert_eq!(e1.epoch(), 1);
-        assert_eq!(h1 - h0, 3, "three unchanged APs must hit the cache");
-        assert_eq!(m1 - m0, 0);
+        assert!(
+            before.iter().zip(&after).all(|(b, a)| Arc::ptr_eq(b, a)),
+            "three unchanged APs must hit the cache"
+        );
 
         // The reused slabs are byte-identical to the original build's.
         let (nx, ny) = e0.grid_size();

@@ -70,11 +70,6 @@ impl Default for ApFaultProfile {
 }
 
 impl ApFaultProfile {
-    /// Whether this profile is a completely healthy AP.
-    pub fn is_healthy(&self) -> bool {
-        *self == Self::default()
-    }
-
     /// Multiplier the AWGN noise power is scaled by.
     pub fn noise_multiplier(&self) -> f64 {
         10f64.powf(self.noise_spike_db / 10.0)
@@ -126,11 +121,6 @@ impl FaultPlan {
     /// The fault profile of AP `ap`.
     pub fn ap(&self, ap: usize) -> &ApFaultProfile {
         &self.aps[ap]
-    }
-
-    /// Whether every AP in the plan is healthy.
-    pub fn is_all_healthy(&self) -> bool {
-        self.aps.iter().all(ApFaultProfile::is_healthy)
     }
 
     /// Indices of APs that are *not* in outage.
@@ -290,7 +280,7 @@ mod tests {
     #[test]
     fn healthy_plan_is_healthy() {
         let p = FaultPlan::healthy(6);
-        assert!(p.is_all_healthy());
+        assert!((0..6).all(|ap| *p.ap(ap) == ApFaultProfile::default()));
         assert_eq!(p.len(), 6);
         assert_eq!(p.live_aps(), vec![0, 1, 2, 3, 4, 5]);
         assert!(!p.misses_frame(0, 0, 0, 0));
@@ -313,7 +303,7 @@ mod tests {
         assert_eq!(p.ap(5).spectrum_age, 7);
         assert!((p.ap(0).noise_multiplier() - 10.0).abs() < 1e-12);
         assert_eq!(p.live_aps(), vec![0, 2, 3, 4, 5]);
-        assert!(!p.is_all_healthy());
+        assert!((0..6).all(|ap| *p.ap(ap) != ApFaultProfile::default()));
     }
 
     #[test]

@@ -66,20 +66,30 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
+    /// The policy's internal consistency rules: thresholds in order, a
+    /// weight in `[0, 1]` and a quorum of at least one. Returns the first
+    /// rule broken.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.degraded_after > self.down_after {
+            return Err("an AP must degrade before it goes down");
+        }
+        if !(0.0..=1.0).contains(&self.degraded_weight) {
+            return Err("confidence weight must be in [0, 1]");
+        }
+        if self.min_quorum < 1 {
+            return Err("a fix needs at least one AP");
+        }
+        Ok(())
+    }
+
     /// Validates the policy's internal consistency.
     ///
     /// # Panics
-    /// Panics if thresholds are inverted or the weight is outside `[0, 1]`.
+    /// Panics with the rule [`HealthPolicy::check`] reports broken.
     pub fn validate(&self) {
-        assert!(
-            self.degraded_after <= self.down_after,
-            "an AP must degrade before it goes down"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.degraded_weight),
-            "confidence weight must be in [0, 1]"
-        );
-        assert!(self.min_quorum >= 1, "a fix needs at least one AP");
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 
     /// Status implied by a consecutive-failure count.
@@ -155,13 +165,6 @@ impl HealthTracker {
     /// Current status of AP `ap` under `policy`.
     pub fn status(&self, ap: usize, policy: &HealthPolicy) -> ApStatus {
         policy.status_for_failures(self.consecutive_failures(ap))
-    }
-
-    /// Number of APs not `Down` under `policy`.
-    pub fn available_aps(&self, policy: &HealthPolicy) -> usize {
-        (0..self.failures.len())
-            .filter(|&ap| self.status(ap, policy) != ApStatus::Down)
-            .count()
     }
 
     /// Carries the tracker across a topology epoch: `old_to_new[i]` says
@@ -273,16 +276,15 @@ mod tests {
             t.report_failure(1);
         }
         assert_eq!(t.status(1, &p), ApStatus::Down);
-        assert_eq!(t.available_aps(&p), 2);
+        assert_eq!(t.status(2, &p), ApStatus::Healthy);
         // A success resets the streak entirely.
         t.report_success(1);
         assert_eq!(t.status(1, &p), ApStatus::Healthy);
-        assert_eq!(t.available_aps(&p), 3);
         // Two failures → degraded but still available.
         t.report_failure(2);
         t.report_failure(2);
         assert_eq!(t.status(2, &p), ApStatus::Degraded);
-        assert_eq!(t.available_aps(&p), 3);
+        assert_eq!(t.status(1, &p), ApStatus::Healthy);
     }
 
     #[test]
@@ -319,6 +321,36 @@ mod tests {
         assert!(LocalizeError::NoObservations
             .to_string()
             .contains("at least one"));
+    }
+
+    #[test]
+    fn check_reports_each_broken_rule() {
+        let ok = HealthPolicy::default();
+        assert_eq!(ok.check(), Ok(()));
+        let broken = [
+            HealthPolicy {
+                degraded_after: 6,
+                down_after: 2,
+                ..ok
+            },
+            HealthPolicy {
+                degraded_weight: 1.5,
+                ..ok
+            },
+            HealthPolicy {
+                min_quorum: 0,
+                ..ok
+            },
+        ];
+        let why: Vec<_> = broken.iter().map(|p| p.check().unwrap_err()).collect();
+        assert_eq!(
+            why,
+            [
+                "an AP must degrade before it goes down",
+                "confidence weight must be in [0, 1]",
+                "a fix needs at least one AP",
+            ]
+        );
     }
 
     #[test]

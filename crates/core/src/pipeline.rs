@@ -21,7 +21,7 @@ use crate::music::{music_analysis, MusicConfig};
 use crate::spectrum::AoaSpectrum;
 use crate::suppression::{suppress_multipath, SuppressionConfig};
 use crate::symmetry::{remove_symmetry, resolve_mirror_peaks};
-use crate::synthesis::{ApObservation, ApPose, LocationEstimate, SearchRegion};
+use crate::synthesis::{ApPose, LocationEstimate, SearchRegion};
 use crate::weighting::{apply_geometry_weighting, confidence_weighted};
 use at_dsp::SnapshotBlock;
 use std::cell::RefCell;
@@ -134,14 +134,13 @@ pub fn process_frame_group(
     suppress_multipath(&spectra, suppression)
 }
 
-/// One observation entering policy-gated fusion against a shared
+/// One observation entering policy-gated fusion against a
 /// [`LocalizationEngine`].
 ///
-/// This is the engine-shared form of what
-/// [`ArrayTrackServer::try_localize`] consumes internally: the networked
-/// location service keeps *one* engine per deployment and runs every
-/// query through [`fuse`], getting results bit-identical to an in-process
-/// server built from the same submissions.
+/// Every fix is fused from these: the networked location service keeps
+/// *one* engine per deployment and runs every query through [`fuse`],
+/// and [`ArrayTrackServer::try_localize`] views its submissions the same
+/// way, so both produce bit-identical results from the same inputs.
 #[derive(Clone, Copy, Debug)]
 pub struct FusedObservation<'a> {
     /// Index of the producing AP in the engine's pose table.
@@ -149,7 +148,7 @@ pub struct FusedObservation<'a> {
     /// The processed AoA spectrum.
     pub spectrum: &'a AoaSpectrum,
     /// Deployment AP identity for health lookups (`None` = anonymous,
-    /// always trusted — the legacy `add_observation` path).
+    /// always trusted).
     pub ap_id: Option<usize>,
     /// Spectrum age in server refresh intervals (0 = fresh).
     pub age: u64,
@@ -179,14 +178,12 @@ impl FusionPlan {
     }
 }
 
-/// Reusable workspace for one fusion query: the [`FusionPlan`], owned
-/// storage for tempered (degraded-AP) spectra, and the engine's
-/// [`LocalizeScratch`]. One of these per serving thread makes the warm
-/// localize path allocation-free end to end.
+/// Reusable workspace for one fusion query: the [`FusionPlan`] and the
+/// engine's [`LocalizeScratch`]. One of these per serving thread makes
+/// the warm localize path allocation-free end to end.
 #[derive(Clone, Debug, Default)]
 pub struct FusionScratch {
     plan: FusionPlan,
-    tempered: Vec<Option<AoaSpectrum>>,
     engine: LocalizeScratch,
 }
 
@@ -197,29 +194,12 @@ impl FusionScratch {
     }
 }
 
-thread_local! {
-    static FUSION_SCRATCH: RefCell<FusionScratch> = RefCell::new(FusionScratch::new());
-}
-
-/// Runs `f` with the calling thread's default fusion workspace (the
-/// pool behind [`execute_fusion`] and [`ArrayTrackServer::try_localize`]).
-/// Falls back to a fresh arena under re-entrancy rather than panicking.
-fn with_fusion_scratch<R>(f: impl FnOnce(&mut FusionScratch) -> R) -> R {
-    FUSION_SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut FusionScratch::new()),
-    })
-}
-
 /// Filters and weights `obs` under the degradation policy, without
 /// touching an engine: resolution check against `expected_bins`, then the
 /// stale / degenerate / down drops and degraded-AP tempering documented on
 /// [`ArrayTrackServer::try_localize`], then the quorum gate.
 ///
-/// Callers holding a deployment-wide engine pass `engine.bins()`;
-/// [`ArrayTrackServer::try_localize`] passes its first observation's
-/// resolution (identical semantics — its engine is built with that
-/// resolution).
+/// Callers holding a deployment-wide engine pass `engine.bins()`.
 pub fn plan_fusion(
     obs: &[FusedObservation<'_>],
     expected_bins: usize,
@@ -318,53 +298,43 @@ where
 ///
 /// Tempered (degraded) spectra get owned storage; full-trust spectra are
 /// borrowed as-is, so an all-healthy plan is byte-identical to calling
-/// [`LocalizationEngine::localize`] on the raw spectra. Uses the calling
-/// thread's pooled [`FusionScratch`]; repeat queries allocate nothing
-/// beyond degraded-spectrum tempering.
+/// [`LocalizationEngine::localize`] on the raw spectra. Uses the engine's
+/// per-thread default [`LocalizeScratch`], so repeat all-healthy queries
+/// allocate nothing.
 pub fn execute_fusion(
     engine: &LocalizationEngine,
     obs: &[FusedObservation<'_>],
     plan: &FusionPlan,
 ) -> LocationEstimate {
-    with_fusion_scratch(|scratch| {
-        execute_plan(
-            engine,
-            &|i| obs[i],
-            plan,
-            &mut scratch.tempered,
-            &mut scratch.engine,
-        )
-    })
+    crate::engine::with_default_scratch(|arena| execute_plan(engine, &|i| obs[i], plan, arena))
 }
 
-/// The accessor-based core of [`execute_fusion`], writing through the
-/// caller's tempering buffer and engine arena (split out of a
-/// [`FusionScratch`] so the plan inside the same scratch can be borrowed
-/// simultaneously).
+/// The accessor-based core of [`execute_fusion`], on a caller-owned
+/// engine arena. Tempering storage is filled only when the plan tempers.
 fn execute_plan<'a, F>(
     engine: &LocalizationEngine,
     get: &F,
     plan: &FusionPlan,
-    tempered: &mut Vec<Option<AoaSpectrum>>,
-    engine_scratch: &mut LocalizeScratch,
+    arena: &mut LocalizeScratch,
 ) -> LocationEstimate
 where
     F: Fn(usize) -> FusedObservation<'a>,
 {
-    tempered.clear();
-    tempered.resize(plan.picked.len(), None);
-    for (slot, &(i, w)) in tempered.iter_mut().zip(&plan.picked) {
-        if w < 1.0 {
-            *slot = Some(confidence_weighted(get(i).spectrum, w));
-        }
-    }
-    let tempered: &[Option<AoaSpectrum>] = tempered;
+    let tempered: Vec<Option<AoaSpectrum>> = if plan.picked.iter().any(|&(_, w)| w < 1.0) {
+        plan.picked
+            .iter()
+            .map(|&(i, w)| (w < 1.0).then(|| confidence_weighted(get(i).spectrum, w)))
+            .collect()
+    } else {
+        Vec::new()
+    };
     let get_spec = |j: usize| {
         let (i, _) = plan.picked[j];
         let o = get(i);
-        (o.pose_idx, tempered[j].as_ref().unwrap_or(o.spectrum))
+        let spectrum = tempered.get(j).and_then(Option::as_ref);
+        (o.pose_idx, spectrum.unwrap_or(o.spectrum))
     };
-    engine.localize_indexed(plan.picked.len(), &get_spec, engine_scratch)
+    engine.localize_indexed(plan.picked.len(), &get_spec, arena)
 }
 
 /// [`plan_fusion`] + [`execute_fusion`] against a deployment-shared
@@ -379,39 +349,68 @@ pub fn fuse(
     policy: &HealthPolicy,
     scratch: &mut FusionScratch,
 ) -> Result<LocationEstimate, LocalizeError> {
-    let FusionScratch {
-        plan,
-        tempered,
-        engine: engine_scratch,
-    } = scratch;
-    plan_fusion_indexed(obs.len(), &|i| obs[i], engine.bins(), health, policy, plan)?;
+    let get = |i| obs[i];
+    fuse_indexed(
+        obs.len(),
+        &get,
+        engine.bins(),
+        health,
+        policy,
+        scratch,
+        || engine,
+    )
+}
+
+/// The one fusion body behind [`fuse`] and
+/// [`ArrayTrackServer::try_localize`]: plan the `n` observations read
+/// through `get`, then fetch the engine and execute the plan. Planning
+/// comes first, so a refused query never pays an engine rebuild.
+fn fuse_indexed<'a, 'e, F>(
+    n: usize,
+    get: &F,
+    bins: usize,
+    health: &HealthTracker,
+    policy: &HealthPolicy,
+    scratch: &mut FusionScratch,
+    engine: impl FnOnce() -> &'e LocalizationEngine,
+) -> Result<LocationEstimate, LocalizeError>
+where
+    F: Fn(usize) -> FusedObservation<'a>,
+{
+    plan_fusion_indexed(n, get, bins, health, policy, &mut scratch.plan)?;
     Ok(execute_plan(
-        engine,
-        &|i| obs[i],
-        plan,
-        tempered,
-        engine_scratch,
+        engine(),
+        get,
+        &scratch.plan,
+        &mut scratch.engine,
     ))
 }
 
-/// Submission metadata carried alongside each observation: which
-/// deployment AP produced it (for health tracking) and how old it is.
-#[derive(Clone, Copy, Debug)]
-struct ObservationMeta {
-    /// Deployment AP index, when known. Anonymous observations (the legacy
-    /// [`ArrayTrackServer::add_observation`] path) are always trusted.
-    ap_id: Option<usize>,
-    /// Spectrum age in server refresh intervals (0 = fresh).
+/// One AP's spectrum held by an [`ArrayTrackServer`] until the next
+/// [`ArrayTrackServer::clear`].
+#[derive(Clone, Debug)]
+struct Submission {
+    ap_id: usize,
+    pose: ApPose,
+    spectrum: AoaSpectrum,
     age: u64,
+}
+
+/// The server's fusion state: the engine cached for the last submitted
+/// poses, and the workspace its queries reuse.
+#[derive(Clone, Debug, Default)]
+struct FusionCache {
+    engine: Option<LocalizationEngine>,
+    scratch: FusionScratch,
 }
 
 /// The central ArrayTrack server: accumulates per-AP spectra for a client
 /// and produces a location estimate (Fig. 1's right half).
 ///
 /// The server keeps a [`LocalizationEngine`] keyed to the current AP poses
-/// and spectrum resolution: the first `localize` call after a deployment
-/// change pays the bearing-grid precomputation, every later call (the
-/// steady state — one query per client per refresh interval) reuses it.
+/// and spectrum resolution: the first query after a deployment change
+/// pays the bearing-grid precomputation, every later one (the steady
+/// state — one query per client per refresh interval) reuses it.
 ///
 /// # Graceful degradation
 ///
@@ -430,17 +429,15 @@ struct ObservationMeta {
 /// - if fewer than `min_quorum` APs survive, the server returns a typed
 ///   [`LocalizeError`] instead of guessing or panicking.
 ///
-/// With every AP healthy and fresh, `try_localize` takes exactly the same
-/// engine path as [`ArrayTrackServer::localize`] — bit-identical results
-/// (the robustness tier asserts this).
+/// Queries run the same plan/execute core as [`fuse`], on the server's
+/// own [`FusionScratch`].
 #[derive(Clone, Debug)]
 pub struct ArrayTrackServer {
-    observations: Vec<ApObservation>,
-    meta: Vec<ObservationMeta>,
+    submissions: Vec<Submission>,
     region: SearchRegion,
-    engine: RefCell<Option<LocalizationEngine>>,
     policy: HealthPolicy,
     health: HealthTracker,
+    cache: RefCell<FusionCache>,
 }
 
 impl ArrayTrackServer {
@@ -448,12 +445,11 @@ impl ArrayTrackServer {
     /// [`HealthPolicy`].
     pub fn new(region: SearchRegion) -> Self {
         Self {
-            observations: Vec::new(),
-            meta: Vec::new(),
+            submissions: Vec::new(),
             region,
-            engine: RefCell::new(None),
             policy: HealthPolicy::default(),
             health: HealthTracker::default(),
+            cache: RefCell::default(),
         }
     }
 
@@ -461,7 +457,7 @@ impl ArrayTrackServer {
     ///
     /// # Panics
     /// Panics if the policy is internally inconsistent
-    /// (see [`HealthPolicy::validate`]).
+    /// (see [`HealthPolicy::check`]).
     pub fn with_policy(mut self, policy: HealthPolicy) -> Self {
         policy.validate();
         self.policy = policy;
@@ -471,16 +467,6 @@ impl ArrayTrackServer {
     /// The active degradation policy.
     pub fn policy(&self) -> &HealthPolicy {
         &self.policy
-    }
-
-    /// Adds one AP's processed spectrum (anonymous and fresh: not subject
-    /// to health tracking — the legacy single-shot path).
-    pub fn add_observation(&mut self, pose: ApPose, spectrum: AoaSpectrum) {
-        self.observations.push(ApObservation { pose, spectrum });
-        self.meta.push(ObservationMeta {
-            ap_id: None,
-            age: 0,
-        });
     }
 
     /// Adds a spectrum from deployment AP `ap_id`, `age` refresh intervals
@@ -493,9 +479,10 @@ impl ArrayTrackServer {
         age: u64,
     ) {
         self.health.report_success(ap_id);
-        self.observations.push(ApObservation { pose, spectrum });
-        self.meta.push(ObservationMeta {
-            ap_id: Some(ap_id),
+        self.submissions.push(Submission {
+            ap_id,
+            pose,
+            spectrum,
             age,
         });
     }
@@ -507,78 +494,16 @@ impl ArrayTrackServer {
         self.health.report_failure(ap_id);
     }
 
-    /// The current health status of deployment AP `ap_id`.
-    pub fn ap_status(&self, ap_id: usize) -> ApStatus {
-        self.health.status(ap_id, &self.policy)
-    }
-
-    /// The per-AP health tracker.
+    /// The per-AP health tracker; read a status with
+    /// `health().status(ap, policy())`.
     pub fn health(&self) -> &HealthTracker {
         &self.health
-    }
-
-    /// Forgets all tracked failures (e.g. after a maintenance window).
-    pub fn reset_health(&mut self) {
-        self.health = HealthTracker::default();
-    }
-
-    /// Number of AP observations accumulated.
-    pub fn observation_count(&self) -> usize {
-        self.observations.len()
     }
 
     /// Clears accumulated observations (between clients). Health state is
     /// deliberately retained: AP failures persist across clients.
     pub fn clear(&mut self) {
-        self.observations.clear();
-        self.meta.clear();
-    }
-
-    /// Ensures the cached engine matches the current observation poses and
-    /// `bins`, rebuilding it if the deployment changed.
-    fn ensure_engine(&self, bins: usize) -> std::cell::RefMut<'_, Option<LocalizationEngine>> {
-        let mut slot = self.engine.borrow_mut();
-        let stale = match slot.as_ref() {
-            Some(e) => {
-                e.bins() != bins
-                    || e.poses().len() != self.observations.len()
-                    || e.poses()
-                        .iter()
-                        .zip(&self.observations)
-                        .any(|(p, o)| *p != o.pose)
-            }
-            None => true,
-        };
-        if stale {
-            let poses: Vec<ApPose> = self.observations.iter().map(|o| o.pose).collect();
-            *slot = Some(LocalizationEngine::new(&poses, self.region, bins));
-        }
-        slot
-    }
-
-    /// Produces the location estimate from all accumulated observations.
-    ///
-    /// Reuses the cached [`LocalizationEngine`] when the AP poses and
-    /// spectrum resolution are unchanged since the last call; otherwise
-    /// rebuilds it first (the deployment changed).
-    ///
-    /// # Panics
-    /// Panics if no observations were added.
-    pub fn localize(&self) -> LocationEstimate {
-        assert!(
-            !self.observations.is_empty(),
-            "need at least one AP observation"
-        );
-        let bins = self.observations[0].spectrum.bins();
-        let slot = self.ensure_engine(bins);
-        let engine = slot.as_ref().expect("engine was just built");
-        crate::engine::with_default_scratch(|scratch| {
-            engine.localize_indexed(
-                self.observations.len(),
-                &|i| (i, &self.observations[i].spectrum),
-                scratch,
-            )
-        })
+        self.submissions.clear();
     }
 
     /// Produces a location estimate under the degradation policy, or a
@@ -596,12 +521,17 @@ impl ArrayTrackServer {
     /// 4. fewer than `min_quorum` survivors ⇒
     ///    [`LocalizeError::QuorumNotMet`].
     ///
-    /// With all observations healthy and fresh this is exactly
-    /// [`ArrayTrackServer::localize`] (same engine, same spectra).
+    /// With every submission healthy and fresh this is exactly
+    /// [`LocalizationEngine::localize`] over the submitted poses and
+    /// spectra, in submission order — bit for bit.
+    ///
+    /// The cached engine is reused while the submitted poses and spectrum
+    /// resolution are unchanged; otherwise it is rebuilt, once the plan
+    /// has met quorum.
     pub fn try_localize(&self) -> Result<LocationEstimate, LocalizeError> {
         let _t = at_obs::time_stage!(
             at_obs::stages::LOCALIZE,
-            "observations" => self.observations.len(),
+            "observations" => self.submissions.len(),
         );
         let result = self.try_localize_inner();
         match &result {
@@ -625,43 +555,48 @@ impl ArrayTrackServer {
     }
 
     fn try_localize_inner(&self) -> Result<LocationEstimate, LocalizeError> {
-        if self.observations.is_empty() {
-            return Err(LocalizeError::NoObservations);
-        }
-        let bins = self.observations[0].spectrum.bins();
-        // The engine's pose table mirrors the observation list, so each
-        // observation's pose index is simply its position; observations
-        // are read through an accessor so no query-shaped vector is built.
+        let subs = &self.submissions;
+        let first = subs.first().ok_or(LocalizeError::NoObservations)?;
+        let bins = first.spectrum.bins();
+        // The engine's pose table mirrors the submission list, so each
+        // submission's pose index is its position.
         let get = |i: usize| FusedObservation {
             pose_idx: i,
-            spectrum: &self.observations[i].spectrum,
-            ap_id: self.meta[i].ap_id,
-            age: self.meta[i].age,
+            spectrum: &subs[i].spectrum,
+            ap_id: Some(subs[i].ap_id),
+            age: subs[i].age,
         };
-        with_fusion_scratch(|scratch| {
-            let FusionScratch {
-                plan,
-                tempered,
-                engine: engine_scratch,
-            } = scratch;
-            // Plan first: a quorum failure must not pay an engine rebuild.
-            plan_fusion_indexed(
-                self.observations.len(),
-                &get,
-                bins,
-                &self.health,
-                &self.policy,
-                plan,
-            )?;
-            let slot = self.ensure_engine(bins);
-            let engine = slot.as_ref().expect("engine was just built");
-            Ok(execute_plan(engine, &get, plan, tempered, engine_scratch))
-        })
+        let mut cache = self.cache.borrow_mut();
+        let FusionCache { engine, scratch } = &mut *cache;
+        fuse_indexed(
+            subs.len(),
+            &get,
+            bins,
+            &self.health,
+            &self.policy,
+            scratch,
+            || self.engine_for(engine, bins),
+        )
     }
 
-    /// The accumulated observations (for heatmap rendering).
-    pub fn observations(&self) -> &[ApObservation] {
-        &self.observations
+    /// The cached engine, first rebuilt if the submitted poses or `bins`
+    /// changed since it was built.
+    fn engine_for<'e>(
+        &self,
+        slot: &'e mut Option<LocalizationEngine>,
+        bins: usize,
+    ) -> &'e LocalizationEngine {
+        let subs = &self.submissions;
+        if slot
+            .as_ref()
+            .is_some_and(|e| e.bins() != bins || !e.poses().iter().eq(subs.iter().map(|s| &s.pose)))
+        {
+            *slot = None;
+        }
+        slot.get_or_insert_with(|| {
+            let poses: Vec<ApPose> = subs.iter().map(|s| s.pose).collect();
+            LocalizationEngine::new(&poses, self.region, bins)
+        })
     }
 }
 
@@ -755,28 +690,25 @@ mod tests {
             (pt(12.0, 0.0), 2.0),
             (pt(6.0, 8.0), 4.5),
         ];
-        for (center, axis) in poses {
+        for (i, (center, axis)) in poses.into_iter().enumerate() {
             let array = AntennaArray::ula(center, axis, 8).with_offrow_element();
             let tx = Transmitter::at(client);
             let block = capture(&fp, &array, &tx, 10);
             let spec = process_frame(&block, &ApPipelineConfig::arraytrack(8));
-            server.add_observation(
-                ApPose {
-                    center,
-                    axis_angle: axis,
-                },
-                spec,
-            );
+            let pose = ApPose {
+                center,
+                axis_angle: axis,
+            };
+            server.add_observation_from(i, pose, spec, 0);
         }
-        assert_eq!(server.observation_count(), 3);
-        let est = server.localize();
+        let est = server.try_localize().expect("three healthy APs");
         assert!(
             est.position.distance(client) < 0.25,
             "estimate {:?} vs client {client:?}",
             est.position
         );
         server.clear();
-        assert_eq!(server.observation_count(), 0);
+        assert_eq!(server.try_localize(), Err(LocalizeError::NoObservations));
     }
 
     #[test]
@@ -790,40 +722,40 @@ mod tests {
             (pt(12.0, 0.0), 2.0),
             (pt(6.0, 8.0), 4.5),
         ];
-        for (center, axis) in poses {
+        for (i, (center, axis)) in poses.into_iter().enumerate() {
             let array = AntennaArray::ula(center, axis, 8).with_offrow_element();
             let block = capture(&fp, &array, &Transmitter::at(client_a), 10);
             let spec = process_frame(&block, &ApPipelineConfig::arraytrack(8));
-            server.add_observation(
-                ApPose {
-                    center,
-                    axis_angle: axis,
-                },
-                spec,
-            );
+            let pose = ApPose {
+                center,
+                axis_angle: axis,
+            };
+            server.add_observation_from(i, pose, spec, 0);
         }
-        assert!(server.localize().position.distance(client_a) < 0.25);
+        let est = server.try_localize().expect("three healthy APs");
+        assert!(est.position.distance(client_a) < 0.25);
         // The deployment changes (new AP poses): the cached engine is
         // stale and must be rebuilt, not reused.
         server.clear();
         let client_b = pt(3.0, 6.0);
-        for (center, axis) in [
+        for (i, (center, axis)) in [
             (pt(0.0, 8.0), 5.4),
             (pt(12.0, 8.0), 3.6),
             (pt(6.0, 0.0), 1.2),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let array = AntennaArray::ula(center, axis, 8).with_offrow_element();
             let block = capture(&fp, &array, &Transmitter::at(client_b), 10);
             let spec = process_frame(&block, &ApPipelineConfig::arraytrack(8));
-            server.add_observation(
-                ApPose {
-                    center,
-                    axis_angle: axis,
-                },
-                spec,
-            );
+            let pose = ApPose {
+                center,
+                axis_angle: axis,
+            };
+            server.add_observation_from(i, pose, spec, 0);
         }
-        let est = server.localize();
+        let est = server.try_localize().expect("three healthy APs");
         assert!(
             est.position.distance(client_b) < 0.4,
             "stale engine reused? estimate {:?} vs client {client_b:?}",
@@ -846,20 +778,19 @@ mod tests {
         })
     }
 
-    fn synthetic_server(target: at_channel::geometry::Point) -> ArrayTrackServer {
-        let mut server = ArrayTrackServer::new(SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0)));
-        for (i, (center, axis)) in [
+    /// The three APs of the synthetic deployment.
+    fn synthetic_poses() -> [ApPose; 3] {
+        [
             (pt(0.0, 0.0), 0.3),
             (pt(12.0, 0.0), 2.0),
             (pt(6.0, 8.0), 4.5),
         ]
-        .into_iter()
-        .enumerate()
-        {
-            let pose = ApPose {
-                center,
-                axis_angle: axis,
-            };
+        .map(|(center, axis_angle)| ApPose { center, axis_angle })
+    }
+
+    fn synthetic_server(target: at_channel::geometry::Point) -> ArrayTrackServer {
+        let mut server = ArrayTrackServer::new(SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0)));
+        for (i, pose) in synthetic_poses().into_iter().enumerate() {
             server.add_observation_from(i, pose, lobe_toward(pose, target), 0);
         }
         server
@@ -869,22 +800,24 @@ mod tests {
     fn try_localize_matches_localize_when_all_healthy() {
         let target = pt(7.0, 3.0);
         let server = synthetic_server(target);
-        let a = server.localize();
+        let poses = synthetic_poses();
+        let spectra: Vec<AoaSpectrum> = poses.iter().map(|&p| lobe_toward(p, target)).collect();
+        let obs: Vec<(usize, &AoaSpectrum)> = spectra.iter().enumerate().collect();
+        let engine =
+            LocalizationEngine::new(&poses, SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0)), 720);
+        let a = engine.localize(&obs);
         let b = server.try_localize().expect("healthy deployment must fix");
         // Bit-identical: the all-healthy degradation path is the same
-        // engine call on the same borrowed spectra.
-        assert_eq!(a.position.x, b.position.x);
-        assert_eq!(a.position.y, b.position.y);
-        assert_eq!(a.likelihood, b.likelihood);
+        // engine call on the same spectra.
+        assert_eq!(a.position.x.to_bits(), b.position.x.to_bits());
+        assert_eq!(a.position.y.to_bits(), b.position.y.to_bits());
+        assert_eq!(a.likelihood.to_bits(), b.likelihood.to_bits());
     }
 
     #[test]
     fn empty_server_returns_typed_error() {
         let server = ArrayTrackServer::new(SearchRegion::new(pt(0.0, 0.0), pt(1.0, 1.0)));
-        assert_eq!(
-            server.try_localize(),
-            Err(crate::health::LocalizeError::NoObservations)
-        );
+        assert_eq!(server.try_localize(), Err(LocalizeError::NoObservations));
     }
 
     #[test]
@@ -896,9 +829,9 @@ mod tests {
             axis_angle: 1.0,
         };
         let odd = AoaSpectrum::from_fn(360, |_| 1.0);
-        server.add_observation(pose, odd);
+        server.add_observation_from(3, pose, odd, 0);
         match server.try_localize() {
-            Err(crate::health::LocalizeError::ResolutionMismatch {
+            Err(LocalizeError::ResolutionMismatch {
                 observation,
                 bins,
                 expected,
@@ -912,7 +845,7 @@ mod tests {
     #[test]
     fn down_aps_are_excluded_and_quorum_enforced() {
         let target = pt(5.0, 5.0);
-        let mut server = synthetic_server(target).with_policy(crate::health::HealthPolicy {
+        let mut server = synthetic_server(target).with_policy(HealthPolicy {
             min_quorum: 2,
             ..Default::default()
         });
@@ -921,9 +854,9 @@ mod tests {
             server.report_acquisition_failure(0);
             server.report_acquisition_failure(1);
         }
-        assert_eq!(server.ap_status(0), crate::health::ApStatus::Down);
+        assert_eq!(server.health().status(0, server.policy()), ApStatus::Down);
         match server.try_localize() {
-            Err(crate::health::LocalizeError::QuorumNotMet {
+            Err(LocalizeError::QuorumNotMet {
                 available,
                 required,
                 down,
@@ -934,9 +867,8 @@ mod tests {
             other => panic!("expected QuorumNotMet, got {other:?}"),
         }
         // Recovery: a successful acquisition resets AP 0 and quorum is met.
-        let pose = server.observations()[0].pose;
-        let spec = server.observations()[0].spectrum.clone();
-        server.add_observation_from(0, pose, spec, 0);
+        let pose = synthetic_poses()[0];
+        server.add_observation_from(0, pose, lobe_toward(pose, target), 0);
         let est = server.try_localize().expect("quorum restored");
         assert!(est.position.distance(target) < 0.3);
     }
@@ -945,30 +877,18 @@ mod tests {
     fn stale_spectra_are_dropped() {
         let target = pt(4.0, 3.0);
         let mut server = ArrayTrackServer::new(SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0)));
-        let poses = [
-            (pt(0.0, 0.0), 0.3),
-            (pt(12.0, 0.0), 2.0),
-            (pt(6.0, 8.0), 4.5),
-        ];
         // All three spectra expired (age beyond the default max of 3).
-        for (i, (center, axis)) in poses.into_iter().enumerate() {
-            let pose = ApPose {
-                center,
-                axis_angle: axis,
-            };
+        for (i, pose) in synthetic_poses().into_iter().enumerate() {
             server.add_observation_from(i, pose, lobe_toward(pose, target), 10);
         }
         match server.try_localize() {
-            Err(crate::health::LocalizeError::QuorumNotMet { stale, .. }) => {
+            Err(LocalizeError::QuorumNotMet { stale, .. }) => {
                 assert_eq!(stale, 3);
             }
             other => panic!("expected QuorumNotMet, got {other:?}"),
         }
         // Refresh one: a single fresh AP meets the default quorum of 1.
-        let pose = ApPose {
-            center: pt(0.0, 0.0),
-            axis_angle: 0.3,
-        };
+        let pose = synthetic_poses()[0];
         server.add_observation_from(0, pose, lobe_toward(pose, target), 0);
         assert!(server.try_localize().is_ok());
     }
@@ -981,24 +901,14 @@ mod tests {
         // spectrum pointing somewhere else entirely.
         server.report_acquisition_failure(2);
         server.report_acquisition_failure(2);
-        assert_eq!(server.ap_status(2), crate::health::ApStatus::Degraded);
+        assert_eq!(
+            server.health().status(2, server.policy()),
+            ApStatus::Degraded
+        );
         server.clear();
-        let poses = [
-            (pt(0.0, 0.0), 0.3),
-            (pt(12.0, 0.0), 2.0),
-            (pt(6.0, 8.0), 4.5),
-        ];
-        for (i, (center, axis)) in poses.into_iter().enumerate() {
-            let pose = ApPose {
-                center,
-                axis_angle: axis,
-            };
-            let spec = if i == 2 {
-                lobe_toward(pose, pt(1.0, 1.0)) // wrong target
-            } else {
-                lobe_toward(pose, target)
-            };
-            server.add_observation_from(i, pose, spec, 0);
+        for (i, pose) in synthetic_poses().into_iter().enumerate() {
+            let aim = if i == 2 { pt(1.0, 1.0) } else { target };
+            server.add_observation_from(i, pose, lobe_toward(pose, aim), 0);
         }
         let est = server.try_localize().expect("two healthy APs agree");
         assert!(
@@ -1020,7 +930,7 @@ mod tests {
         for v in dead.values_mut() {
             *v = 0.0;
         }
-        server.add_observation(pose, dead);
+        server.add_observation_from(3, pose, dead, 0);
         // The all-zero spectrum is dropped, the healthy three still fix.
         let est = server.try_localize().expect("healthy APs remain");
         assert!(est.position.distance(target) < 0.3);
@@ -1098,7 +1008,7 @@ mod tests {
         let health = HealthTracker::new(1);
         assert_eq!(
             plan_fusion(&[], 720, &health, &policy).unwrap_err(),
-            crate::health::LocalizeError::NoObservations
+            LocalizeError::NoObservations
         );
         let obs = [FusedObservation {
             pose_idx: 0,
@@ -1107,7 +1017,7 @@ mod tests {
             age: 0,
         }];
         match plan_fusion(&obs, 360, &health, &policy) {
-            Err(crate::health::LocalizeError::ResolutionMismatch {
+            Err(LocalizeError::ResolutionMismatch {
                 observation,
                 bins,
                 expected,
@@ -1117,7 +1027,7 @@ mod tests {
         // A stale-only submission fails quorum with the stale count.
         let stale_obs = [FusedObservation { age: 99, ..obs[0] }];
         match plan_fusion(&stale_obs, 720, &health, &policy) {
-            Err(crate::health::LocalizeError::QuorumNotMet { stale, .. }) => {
+            Err(LocalizeError::QuorumNotMet { stale, .. }) => {
                 assert_eq!(stale, 1)
             }
             other => panic!("expected QuorumNotMet, got {other:?}"),
@@ -1125,14 +1035,18 @@ mod tests {
     }
 
     #[test]
-    fn health_survives_clear_but_not_reset() {
+    fn health_survives_clear_until_the_ap_submits_again() {
         let mut server = synthetic_server(pt(5.0, 4.0));
         for _ in 0..5 {
             server.report_acquisition_failure(1);
         }
         server.clear();
-        assert_eq!(server.ap_status(1), crate::health::ApStatus::Down);
-        server.reset_health();
-        assert_eq!(server.ap_status(1), crate::health::ApStatus::Healthy);
+        assert_eq!(server.health().status(1, server.policy()), ApStatus::Down);
+        let pose = synthetic_poses()[1];
+        server.add_observation_from(1, pose, lobe_toward(pose, pt(5.0, 4.0)), 0);
+        assert_eq!(
+            server.health().status(1, server.policy()),
+            ApStatus::Healthy
+        );
     }
 }

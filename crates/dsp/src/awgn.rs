@@ -29,11 +29,6 @@ pub fn mean_power(xs: &[Complex64]) -> f64 {
     xs.iter().map(|z| z.norm_sqr()).sum::<f64>() / xs.len() as f64
 }
 
-/// Empirical SNR in dB of `signal` against `noise` sample blocks.
-pub fn measure_snr_db(signal: &[Complex64], noise: &[Complex64]) -> f64 {
-    linear_to_db(mean_power(signal) / mean_power(noise))
-}
-
 /// A circularly-symmetric complex Gaussian noise source with selectable
 /// per-sample power.
 ///
@@ -161,7 +156,7 @@ mod tests {
         assert!((linear_to_db(1.0 / src.power()) - 10.0).abs() < 1e-9);
         let signal = vec![Complex64::ONE; 20_000];
         let noise: Vec<_> = (0..20_000).map(|_| src.sample(&mut rng)).collect();
-        let snr = measure_snr_db(&signal, &noise);
+        let snr = linear_to_db(mean_power(&signal) / mean_power(&noise));
         assert!((snr - 10.0).abs() < 0.3, "measured {snr}");
     }
 

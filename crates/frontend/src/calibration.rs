@@ -44,11 +44,6 @@ impl CalibrationRig {
         }
     }
 
-    /// The (simulation-internal) true external-path phase of cable `r`.
-    pub fn true_external_phase(&self, r: usize) -> f64 {
-        self.external_phases[r]
-    }
-
     /// Runs one calibration pass: feeds the tone through the external paths
     /// (optionally with cables `0` and `swap_with` exchanged) into the
     /// front end, and measures each radio's phase offset relative to
@@ -229,7 +224,7 @@ mod tests {
         #[allow(clippy::needless_range_loop)]
         for r in 1..4 {
             let true_internal = wrap_pi(fe.true_offset(r) - fe.true_offset(0));
-            let cable_bias = rig.true_external_phase(r) - rig.true_external_phase(0);
+            let cable_bias = rig.external_phases[r] - rig.external_phases[0];
             // Single pass sees internal + cable bias, not internal alone.
             assert!(wrap_err(measured[r], wrap_pi(true_internal + cable_bias)) < 0.02);
             if cable_bias.abs() > 0.05 {
@@ -262,7 +257,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let cal = rig.calibrate(&fe, &mut rng);
         for r in 1..4 {
-            let truth = wrap_pi(rig.true_external_phase(r) - rig.true_external_phase(0));
+            let truth = wrap_pi(rig.external_phases[r] - rig.external_phases[0]);
             assert!(
                 wrap_err(cal.external_mismatch[r], truth) < 0.02,
                 "cable {r}: {} vs {}",

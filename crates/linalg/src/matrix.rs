@@ -87,11 +87,6 @@ impl CMatrix {
         CVector::from_fn(self.rows, |r| self[(r, c)])
     }
 
-    /// Transpose (no conjugation).
-    pub fn transpose(&self) -> CMatrix {
-        CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
     /// Conjugate (Hermitian) transpose `Aᴴ`.
     pub fn hermitian_transpose(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())

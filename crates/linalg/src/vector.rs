@@ -50,16 +50,6 @@ impl CVector {
         &self.data
     }
 
-    /// Mutable view of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning its storage.
-    pub fn into_vec(self) -> Vec<Complex64> {
-        self.data
-    }
-
     /// Hermitian inner product `selfᴴ · rhs` (left operand conjugated).
     ///
     /// # Panics

@@ -119,11 +119,6 @@ impl Histogram {
         }
     }
 
-    /// A histogram with the default [`duration_buckets`].
-    pub fn for_durations() -> Self {
-        Self::with_buckets(&duration_buckets())
-    }
-
     /// Records one observation (lock-free: one atomic add per call plus
     /// the sum CAS).
     pub fn observe(&self, v: f64) {
@@ -440,7 +435,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        let s = Histogram::for_durations().snapshot();
+        let s = Histogram::with_buckets(&duration_buckets()).snapshot();
         assert_eq!(s.p50(), None);
         assert_eq!(s.mean(), None);
     }

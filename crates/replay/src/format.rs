@@ -41,6 +41,7 @@ use at_config::{SessionPolicy, TopologyOp};
 use at_core::health::LocalizeError;
 use at_core::AoaSpectrum;
 use at_serve::codec::{self, CompressedMode};
+use at_serve::proto;
 use at_serve::{ClientKey, ServiceConfig};
 
 /// Magic bytes opening every segment file.
@@ -87,14 +88,6 @@ mod ok_ {
     pub const OVERLOADED: u8 = 2;
     pub const DEADLINE: u8 = 3;
     pub const SHUTTING_DOWN: u8 = 4;
-}
-
-/// Localize-error codes within an [`ok_::FAILED`] outcome (mirrors the
-/// wire protocol's `FAILED` encoding).
-mod ec {
-    pub const NO_OBSERVATIONS: u8 = 0;
-    pub const QUORUM_NOT_MET: u8 = 1;
-    pub const RESOLUTION_MISMATCH: u8 = 2;
 }
 
 // ---------------------------------------------------------------------------
@@ -508,33 +501,7 @@ pub fn encode_payload(out: &mut Vec<u8>, record: &Record) {
                 }
                 Outcome::Failed { error } => {
                     out.push(ok_::FAILED);
-                    match error {
-                        LocalizeError::NoObservations => out.push(ec::NO_OBSERVATIONS),
-                        LocalizeError::QuorumNotMet {
-                            available,
-                            required,
-                            stale,
-                            down,
-                            degenerate,
-                        } => {
-                            out.push(ec::QUORUM_NOT_MET);
-                            push_u64(out, *available as u64);
-                            push_u64(out, *required as u64);
-                            push_u64(out, *stale as u64);
-                            push_u64(out, *down as u64);
-                            push_u64(out, *degenerate as u64);
-                        }
-                        LocalizeError::ResolutionMismatch {
-                            observation,
-                            bins,
-                            expected,
-                        } => {
-                            out.push(ec::RESOLUTION_MISMATCH);
-                            push_u64(out, *observation as u64);
-                            push_u64(out, *bins as u64);
-                            push_u64(out, *expected as u64);
-                        }
-                    }
+                    proto::encode_localize_error(error, out);
                 }
                 Outcome::Overloaded => out.push(ok_::OVERLOADED),
                 Outcome::DeadlineExceeded => out.push(ok_::DEADLINE),
@@ -681,23 +648,12 @@ fn decode_payload(payload: &[u8], at: usize) -> Result<Record, JournalError> {
                     likelihood: c.f64().ok_or(mal("fix missing likelihood"))?,
                 },
                 ok_::FAILED => {
-                    let code = c.u8().ok_or(mal("failed missing error code"))?;
-                    let error = match code {
-                        ec::NO_OBSERVATIONS => LocalizeError::NoObservations,
-                        ec::QUORUM_NOT_MET => LocalizeError::QuorumNotMet {
-                            available: c.u64().ok_or(mal("quorum fields short"))? as usize,
-                            required: c.u64().ok_or(mal("quorum fields short"))? as usize,
-                            stale: c.u64().ok_or(mal("quorum fields short"))? as usize,
-                            down: c.u64().ok_or(mal("quorum fields short"))? as usize,
-                            degenerate: c.u64().ok_or(mal("quorum fields short"))? as usize,
-                        },
-                        ec::RESOLUTION_MISMATCH => LocalizeError::ResolutionMismatch {
-                            observation: c.u64().ok_or(mal("mismatch fields short"))? as usize,
-                            bins: c.u64().ok_or(mal("mismatch fields short"))? as usize,
-                            expected: c.u64().ok_or(mal("mismatch fields short"))? as usize,
-                        },
-                        _ => return Err(mal("unknown localize error code")),
-                    };
+                    // The failed outcome ends the record.
+                    let rest = c.rest();
+                    let (error, used) = proto::decode_localize_error(rest).map_err(mal)?;
+                    if used != rest.len() {
+                        return Err(mal("trailing bytes after record"));
+                    }
                     Outcome::Failed { error }
                 }
                 ok_::OVERLOADED => Outcome::Overloaded,

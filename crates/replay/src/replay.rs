@@ -31,8 +31,8 @@ use at_core::health::HealthTracker;
 use at_core::{fuse, FusedObservation, FusionScratch, LocalizationEngine, LocationEstimate};
 use at_obs::names;
 use at_serve::{
-    ApClient, AppClient, ClientConfig, ClientError, Encoding, ServiceConfig, SessionPolicy,
-    SessionStore,
+    ApClient, AppClient, ClientConfig, ClientError, Encoding, KeyedObs, ServiceConfig,
+    SessionPolicy, SessionStore,
 };
 
 use crate::format::{config_fingerprint, Event, JournalError, Outcome};
@@ -275,15 +275,7 @@ pub fn replay_in_process(
                     report.skipped += 1;
                     continue;
                 };
-                let obs: Vec<FusedObservation<'_>> = snap
-                    .iter()
-                    .map(|o| FusedObservation {
-                        pose_idx: o.ap_id as usize,
-                        spectrum: &o.spectrum,
-                        ap_id: Some(o.ap_id as usize),
-                        age: o.age,
-                    })
-                    .collect();
+                let obs: Vec<FusedObservation<'_>> = snap.iter().map(KeyedObs::fused).collect();
                 let replayed = fuse(&engine, &obs, &health, &system.health, &mut scratch);
                 report.compared += 1;
                 match (recorded, &replayed) {

@@ -27,10 +27,9 @@
 //!   [`ApClient`], query [`AppClient`]) with the same bounded-attempts
 //!   retry discipline as the testbed's acquisition layer.
 //!
-//! The server fuses through [`at_core::fuse`] (i.e.
-//! [`at_core::plan_fusion`] + [`at_core::execute_fusion`]) — the exact
-//! code path behind the in-process `ArrayTrackServer::try_localize` — so a
-//! networked fix is bit-exact with the in-process one and degraded
+//! The server's workers fuse through [`at_core::fuse`], which shares its
+//! plan/execute core with the in-process `ArrayTrackServer::try_localize`,
+//! so a networked fix is bit-exact with the in-process one and degraded
 //! deployments keep their typed `LocalizeError`/health semantics across
 //! the wire. Every stage records into `at-obs` (queue-depth gauges, shed
 //! and deadline-miss counters, `serve_*` stage histograms).

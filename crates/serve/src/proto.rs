@@ -515,33 +515,7 @@ impl Frame {
                     push_u32(out, h.consecutive_failures);
                 }
             }
-            Frame::Failed { error } => match error {
-                LocalizeError::NoObservations => out.push(0),
-                LocalizeError::QuorumNotMet {
-                    available,
-                    required,
-                    stale,
-                    down,
-                    degenerate,
-                } => {
-                    out.push(1);
-                    push_u64(out, *available as u64);
-                    push_u64(out, *required as u64);
-                    push_u64(out, *stale as u64);
-                    push_u64(out, *down as u64);
-                    push_u64(out, *degenerate as u64);
-                }
-                LocalizeError::ResolutionMismatch {
-                    observation,
-                    bins,
-                    expected,
-                } => {
-                    out.push(2);
-                    push_u64(out, *observation as u64);
-                    push_u64(out, *bins as u64);
-                    push_u64(out, *expected as u64);
-                }
-            },
+            Frame::Failed { error } => encode_localize_error(error, out),
             Frame::Overloaded { retry_after_ms } => push_u32(out, *retry_after_ms),
             Frame::ProtocolError { code, message } => {
                 out.push(*code);
@@ -561,6 +535,61 @@ impl Frame {
         self.encode_into(&mut out);
         out
     }
+}
+
+/// Appends the byte encoding of a [`LocalizeError`]: a code byte, then
+/// the variant's counts as `u64`s. It is the [`Frame::Failed`] payload,
+/// and the replay journal records failed outcomes with it too.
+pub fn encode_localize_error(error: &LocalizeError, out: &mut Vec<u8>) {
+    match error {
+        LocalizeError::NoObservations => out.push(0),
+        LocalizeError::QuorumNotMet {
+            available,
+            required,
+            stale,
+            down,
+            degenerate,
+        } => {
+            out.push(1);
+            for n in [available, required, stale, down, degenerate] {
+                push_u64(out, *n as u64);
+            }
+        }
+        LocalizeError::ResolutionMismatch {
+            observation,
+            bins,
+            expected,
+        } => {
+            out.push(2);
+            for n in [observation, bins, expected] {
+                push_u64(out, *n as u64);
+            }
+        }
+    }
+}
+
+/// Decodes [`encode_localize_error`]'s bytes from the front of `bytes`,
+/// returning the error and the number of bytes read. Total: any input
+/// yields a value or the reason it is malformed, never a panic.
+pub fn decode_localize_error(bytes: &[u8]) -> Result<(LocalizeError, usize), &'static str> {
+    let mut c = Cur::new(bytes);
+    let error = match c.u8().ok_or("truncated error code")? {
+        0 => LocalizeError::NoObservations,
+        1 => LocalizeError::QuorumNotMet {
+            available: c.u64().ok_or("truncated available")? as usize,
+            required: c.u64().ok_or("truncated required")? as usize,
+            stale: c.u64().ok_or("truncated stale")? as usize,
+            down: c.u64().ok_or("truncated down")? as usize,
+            degenerate: c.u64().ok_or("truncated degenerate")? as usize,
+        },
+        2 => LocalizeError::ResolutionMismatch {
+            observation: c.u64().ok_or("truncated observation")? as usize,
+            bins: c.u64().ok_or("truncated bins")? as usize,
+            expected: c.u64().ok_or("truncated expected")? as usize,
+        },
+        _ => return Err("unknown localize-error code"),
+    };
+    Ok((error, c.i))
 }
 
 /// Parses the wire form of a spectrum (`u32` bin count + raw `f64` bins)
@@ -660,23 +689,11 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
             }
         }
         ft::FAILED => {
-            let code = c.u8().ok_or(mal("truncated error code"))?;
-            let error = match code {
-                0 => LocalizeError::NoObservations,
-                1 => LocalizeError::QuorumNotMet {
-                    available: c.u64().ok_or(mal("truncated available"))? as usize,
-                    required: c.u64().ok_or(mal("truncated required"))? as usize,
-                    stale: c.u64().ok_or(mal("truncated stale"))? as usize,
-                    down: c.u64().ok_or(mal("truncated down"))? as usize,
-                    degenerate: c.u64().ok_or(mal("truncated degenerate"))? as usize,
-                },
-                2 => LocalizeError::ResolutionMismatch {
-                    observation: c.u64().ok_or(mal("truncated observation"))? as usize,
-                    bins: c.u64().ok_or(mal("truncated bins"))? as usize,
-                    expected: c.u64().ok_or(mal("truncated expected"))? as usize,
-                },
-                _ => return Err(mal("unknown localize-error code")),
-            };
+            let raw = c.rest();
+            let (error, used) = decode_localize_error(raw).map_err(mal)?;
+            if used != raw.len() {
+                return Err(mal("trailing payload bytes"));
+            }
             Frame::Failed { error }
         }
         ft::OVERLOADED => Frame::Overloaded {

@@ -30,11 +30,13 @@
 //!   requests see [`Frame::ShuttingDown`]), the workers fuse and answer
 //!   everything already admitted and exit, then the connections wind down.
 //!
-//! Fusion itself is [`at_core::plan_fusion`]/[`at_core::execute_fusion`] —
-//! the *same* code path as the in-process `ArrayTrackServer::try_localize`
-//! — so a networked fix over a healthy deployment is bit-exact with the
-//! in-process one, and degraded deployments surface the same
-//! [`at_core::health::LocalizeError`] values over the wire.
+//! Each worker fuses through [`at_core::fuse`] on its own
+//! [`FusionScratch`], with observations mapped by [`KeyedObs::fused`].
+//! `fuse` shares its plan/execute core with the in-process
+//! `ArrayTrackServer::try_localize`, so a networked fix over a healthy
+//! deployment is bit-exact with the in-process one, and degraded
+//! deployments surface the same [`at_core::health::LocalizeError`] values
+//! over the wire.
 
 use crate::codec;
 use crate::proto::{self, ApHealthReport, ClientKey, Frame, ReadError, HEADER_LEN};
@@ -1015,16 +1017,7 @@ fn run_worker(admission: &Bounded<Job>, shared: &Shared) {
             (Arc::clone(&topo.engine), topo.config.health)
         };
         let health = shared.health.lock().expect("health poisoned").clone();
-        let fused: Vec<FusedObservation<'_>> = job
-            .obs
-            .iter()
-            .map(|o| FusedObservation {
-                pose_idx: o.ap_id as usize,
-                spectrum: &o.spectrum,
-                ap_id: Some(o.ap_id as usize),
-                age: o.age,
-            })
-            .collect();
+        let fused: Vec<FusedObservation<'_>> = job.obs.iter().map(KeyedObs::fused).collect();
         // Workers are the parallelism; each fusion runs on this thread.
         let frame = match at_core::fuse(&engine, &fused, &health, &policy, &mut scratch) {
             Ok(estimate) => {

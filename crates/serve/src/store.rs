@@ -31,7 +31,7 @@
 //! `QuorumNotMet` the in-process server returns.
 
 use crate::proto::ClientKey;
-use at_core::AoaSpectrum;
+use at_core::{AoaSpectrum, FusedObservation};
 use at_obs::metrics::{Counter, Gauge};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -93,6 +93,21 @@ pub struct KeyedObs {
     pub age: u64,
     /// The spectrum (shared; replaced, never mutated, by later submits).
     pub spectrum: Arc<AoaSpectrum>,
+}
+
+impl KeyedObs {
+    /// This observation as fusion input against the deployment engine,
+    /// whose pose table is indexed by AP id. The live server and replay
+    /// both fuse through this one mapping, so a replayed fix can match
+    /// the recorded one bit for bit.
+    pub fn fused(&self) -> FusedObservation<'_> {
+        FusedObservation {
+            pose_idx: self.ap_id as usize,
+            spectrum: &self.spectrum,
+            ap_id: Some(self.ap_id as usize),
+            age: self.age,
+        }
+    }
 }
 
 /// Counters a [`SessionStore`] accumulates over its lifetime, surfaced in

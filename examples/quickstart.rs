@@ -47,7 +47,7 @@ fn main() {
     let preamble = Preamble::new();
     let noise = NoiseSource::with_power(1e-10);
 
-    for (center, axis) in poses {
+    for (ap, (center, axis)) in poses.into_iter().enumerate() {
         let array = AntennaArray::ula(center, axis, 8).with_offrow_element();
         // Receive 10 snapshots of the first long training symbol.
         let mut streams = sim.receive(
@@ -70,16 +70,14 @@ fn main() {
             "AP at ({:.0}, {:.0}): strongest AoA peak at {bearing:.1}° from the array axis",
             center.x, center.y
         );
-        server.add_observation(
-            ApPose {
-                center,
-                axis_angle: axis,
-            },
-            spectrum,
-        );
+        let pose = ApPose {
+            center,
+            axis_angle: axis,
+        };
+        server.add_observation_from(ap, pose, spectrum, 0);
     }
 
-    let estimate = server.localize();
+    let estimate = server.try_localize().expect("three healthy APs");
     let err = estimate.position.distance(client);
     println!(
         "estimate:     ({:.2}, {:.2})  — error {:.2} m",

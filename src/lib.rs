@@ -53,7 +53,8 @@
 //! let preamble = Preamble::new();
 //! let mut server =
 //!     ArrayTrackServer::new(SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0)));
-//! for (center, axis) in [(pt(0.0, 0.0), 0.4), (pt(12.0, 0.0), 2.2), (pt(6.0, 8.0), -0.5)] {
+//! let aps = [(pt(0.0, 0.0), 0.4), (pt(12.0, 0.0), 2.2), (pt(6.0, 8.0), -0.5)];
+//! for (ap, (center, axis)) in aps.into_iter().enumerate() {
 //!     let array = AntennaArray::ula(center, axis, 8).with_offrow_element();
 //!     let streams = sim.receive(
 //!         &Transmitter::at(client),
@@ -65,9 +66,9 @@
 //!     );
 //!     let spectrum = process_frame(&SnapshotBlock::new(streams),
 //!                                  &ApPipelineConfig::arraytrack(8));
-//!     server.add_observation(ApPose { center, axis_angle: axis }, spectrum);
+//!     server.add_observation_from(ap, ApPose { center, axis_angle: axis }, spectrum, 0);
 //! }
-//! let estimate = server.localize();
+//! let estimate = server.try_localize().expect("three healthy APs");
 //! assert!(estimate.position.distance(client) < 0.3);
 //! ```
 

@@ -35,6 +35,7 @@ fn unknown_stage_exits_2_and_lists_the_valid_stage_names() {
         "fmt",
         "build",
         "tier1",
+        "workspace",
         "proto",
         "proto-props",
         "codec",

@@ -8,7 +8,8 @@
 use arraytrack::core::faults::FaultPlan;
 use arraytrack::core::health::{HealthPolicy, LocalizeError};
 use arraytrack::core::pipeline::ArrayTrackServer;
-use arraytrack::core::AoaSpectrum;
+use arraytrack::core::synthesis::ApPose;
+use arraytrack::core::{AoaSpectrum, LocalizationEngine};
 use arraytrack::testbed::acquire::{
     acquire_spectrum, localize_under_faults, AcquireConfig, AcquireError,
 };
@@ -96,6 +97,7 @@ fn all_healthy_fault_layer_is_bit_exact() {
     let mut r_fault = StdRng::seed_from_u64(SEED ^ 99);
     let mut r_clean = StdRng::seed_from_u64(SEED ^ 99);
     let mut server = ArrayTrackServer::new(fx.dep.search_region());
+    let mut spectra = Vec::new();
     for ap in 0..fx.dep.aps.len() {
         let a = acquire_spectrum(&fx.dep, ap, ci, &fx.cfg, &plan, &acq, &mut r_fault)
             .expect("healthy plan must acquire");
@@ -104,13 +106,17 @@ fn all_healthy_fault_layer_is_bit_exact() {
         for (x, y) in a.spectrum.values().iter().zip(b.values()) {
             assert_eq!(*x, *y, "AP {ap}: healthy fault path must be bit-identical");
         }
-        server.add_observation_from(ap, fx.dep.aps[ap].pose, a.spectrum, a.age);
+        server.add_observation_from(ap, fx.dep.aps[ap].pose, a.spectrum.clone(), a.age);
+        spectra.push(a.spectrum);
     }
-    let plain = server.localize();
+    let poses: Vec<ApPose> = fx.dep.aps.iter().map(|a| a.pose).collect();
+    let engine = LocalizationEngine::new(&poses, fx.dep.search_region(), spectra[0].bins());
+    let obs: Vec<(usize, &AoaSpectrum)> = spectra.iter().enumerate().collect();
+    let plain = engine.localize(&obs);
     let guarded = server.try_localize().expect("all healthy");
-    assert_eq!(plain.position.x, guarded.position.x);
-    assert_eq!(plain.position.y, guarded.position.y);
-    assert_eq!(plain.likelihood, guarded.likelihood);
+    assert_eq!(plain.position.x.to_bits(), guarded.position.x.to_bits());
+    assert_eq!(plain.position.y.to_bits(), guarded.position.y.to_bits());
+    assert_eq!(plain.likelihood.to_bits(), guarded.likelihood.to_bits());
 }
 
 #[test]

@@ -18,7 +18,10 @@ use std::sync::Arc;
 /// A tiny synthetic three-AP server whose fix lands on `target`.
 fn synthetic_server(target: arraytrack::channel::geometry::Point) -> ArrayTrackServer {
     let mut server = ArrayTrackServer::new(SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0)));
-    for (x, y, axis) in [(0.0, 0.0, 0.3), (12.0, 0.0, 2.0), (6.0, 8.0, 4.5)] {
+    for (i, (x, y, axis)) in [(0.0, 0.0, 0.3), (12.0, 0.0, 2.0), (6.0, 8.0, 4.5)]
+        .into_iter()
+        .enumerate()
+    {
         let pose = ApPose {
             center: pt(x, y),
             axis_angle: axis,
@@ -28,7 +31,7 @@ fn synthetic_server(target: arraytrack::channel::geometry::Point) -> ArrayTrackS
             let d = arraytrack::channel::geometry::angle_diff(t, theta);
             (-(d / 0.08).powi(2)).exp() + 1e-6
         });
-        server.add_observation(pose, spectrum);
+        server.add_observation_from(i, pose, spectrum, 0);
     }
     server
 }
